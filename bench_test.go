@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"net/rpc"
 	"sync"
 	"testing"
 
@@ -30,6 +29,7 @@ import (
 	"loopsched/internal/sched"
 	"loopsched/internal/sim"
 	"loopsched/internal/tree"
+	"loopsched/internal/wire"
 	"loopsched/internal/workload"
 )
 
@@ -481,8 +481,10 @@ func BenchmarkTreeSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkRPCRoundTrip measures one NextChunk call through the real
-// net/rpc stack over loopback TCP.
+// BenchmarkRPCRoundTrip measures one synchronous request/grant round
+// trip of the wire protocol over loopback TCP against a real Master:
+// each request piggy-backs the previous chunk's 8-byte result, as a
+// serial worker's would, and asks for one grant.
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	// 1M single-iteration chunks outlast any realistic benchtime
 	// without allocating a gigantic result table.
@@ -498,31 +500,43 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	if err := m.Serve(l); err != nil {
 		b.Fatal(err)
 	}
-	client, err := rpc.Dial("tcp", l.Addr().String())
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := wire.NewClient(conn)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer client.Close()
+	var (
+		req     wire.Request
+		rep     wire.Reply
+		results []wire.Record
+		data    [8]byte
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var reply loopsched.ChunkReply
-		if err := client.Call("Master.NextChunk", loopsched.ChunkArgs{Worker: 0}, &reply); err != nil {
+		req = wire.Request{Worker: 0, Credits: 1, Results: results}
+		if err := client.Call(&req, &rep); err != nil {
 			b.Fatal(err)
 		}
-		if reply.Stop {
-			b.Fatal("exhausted")
+		if rep.Stop || len(rep.Grants) != 1 {
+			b.Fatalf("exhausted: %+v", rep)
+		}
+		results = results[:0]
+		for j := rep.Grants[0].Start; j < rep.Grants[0].End(); j++ {
+			results = append(results, wire.Record{Index: j, Data: data[:]})
 		}
 	}
 }
 
 // BenchmarkRPCPipeline runs a full 512-chunk master/worker loop over
-// loopback TCP across the codec matrix: the original net/rpc+gob
-// protocol (serial and double-buffered) against the binary wire codec
-// at credit windows 1, 2 and 8. The kernel is near-free and the
-// payload small, so the numbers isolate protocol overhead — encoding,
-// allocation, and round-trip count — which is exactly what the binary
-// codec and the batched-grant window exist to shrink. One benchmark op
+// loopback TCP at credit windows 1, 2 and 8. The kernel is near-free
+// and the payload small, so the numbers isolate protocol overhead —
+// encoding, allocation, and round-trip count — which is exactly what
+// the batched-grant window exists to shrink. One benchmark op
 // is one complete run (512 chunks), so ns/op and allocs/op compare
 // whole-loop protocol cost between variants; `make bench-json`
 // publishes the table as BENCH_wire.json.
@@ -534,16 +548,12 @@ func BenchmarkRPCPipeline(b *testing.B) {
 		return buf
 	}
 	for _, variant := range []struct {
-		name      string
-		transport loopsched.RPCTransport
-		pipeline  bool
-		window    int
+		name   string
+		window int
 	}{
-		{"gob-serial", "netrpc", false, 0},
-		{"gob-pipelined", "netrpc", true, 0},
-		{"binary-w1", "binary", true, 1},
-		{"binary-w2", "binary", true, 2},
-		{"binary-w8", "binary", true, 8},
+		{"binary-w1", 1},
+		{"binary-w2", 2},
+		{"binary-w8", 8},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -562,9 +572,8 @@ func BenchmarkRPCPipeline(b *testing.B) {
 				}
 				w := loopsched.Worker{
 					ID: 0, Kernel: kernel,
-					Pipeline:  variant.pipeline,
-					Transport: variant.transport,
-					Window:    variant.window,
+					Pipeline: true,
+					Window:   variant.window,
 				}
 				if err := w.Run(l.Addr().String()); err != nil {
 					b.Fatal(err)
@@ -839,7 +848,6 @@ func BenchmarkLedger(b *testing.B) {
 							// the ledger path claims ledgerClaimFactor steps.
 							w := loopsched.Worker{
 								ID: id, Kernel: kernel,
-								Transport:   "binary",
 								Pipeline:    mode == "master",
 								LedgerTable: m.Ledger(), // nil in master mode
 							}

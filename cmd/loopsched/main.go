@@ -39,7 +39,6 @@ func main() {
 		real         = flag.Bool("real", false, "execute with real goroutine workers instead of the simulator")
 		localEngine  = flag.String("local-engine", "", "local runtime with -real: channel (default) or steal")
 		rpcReal      = flag.Bool("rpc", false, "execute with real RPC slaves self-hosted on loopback (overrides -real)")
-		transport    = flag.String("transport", "", "rpc wire format: binary or netrpc (default: $LOOPSCHED_TRANSPORT, else binary)")
 		window       = flag.Int("window", 0, "credit window: chunks a worker holds beyond the one computing (rpc), or the steal-engine refill batch (0 = default)")
 		ledgerMode   = flag.String("ledger", "", "scheduling-step ledger: on or off; eligible schemes claim chunks with one fetch-and-add instead of master round trips (default: $LOOPSCHED_LEDGER, else off)")
 		tree         = flag.Bool("tree", false, "use Tree Scheduling (ignores -scheme)")
@@ -151,7 +150,6 @@ func main() {
 				spec.Workers = realWorkers(*p)
 				spec.Body = burnBody(w)
 				spec.Pipeline = true
-				spec.Transport = *transport
 				spec.CreditWindow = *window
 				spec.Ledger = *ledgerMode
 				spec.Trace = tr

@@ -26,8 +26,7 @@ func main() {
 		maxIter    = flag.Int("maxiter", 200, "escape-time bound — must match the master")
 		probeOS    = flag.Bool("os-load", true, "report the host's real run queue (/proc/loadavg) as Q_i")
 		pipeline   = flag.Bool("pipeline", true, "prefetch the next chunk while computing (double-buffered protocol)")
-		transport  = flag.String("transport", "", "wire format: binary or netrpc (default: $LOOPSCHED_TRANSPORT, else binary)")
-		window     = flag.Int("window", 0, "credit window on the binary transport: chunks held beyond the one computing (0 = 1)")
+		window     = flag.Int("window", 0, "credit window: chunks held beyond the one computing (0 = 1)")
 	)
 	flag.Parse()
 
@@ -39,7 +38,6 @@ func main() {
 		VirtualPower: *power,
 		WorkScale:    *scale,
 		Pipeline:     *pipeline,
-		Transport:    loopsched.RPCTransport(*transport),
 		Window:       *window,
 		ACPModel:     loopsched.ACPModel{Scale: 10},
 		Kernel: func(col int) []byte {

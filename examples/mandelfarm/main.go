@@ -1,9 +1,10 @@
 // Mandelfarm: the paper's experiment for real — a master and slave
-// workers speaking net/rpc over TCP render the Mandelbrot set, one
-// image column per loop iteration, with results piggy-backed on each
-// work request exactly as section 5 describes. Heterogeneity is
-// emulated by giving some workers a WorkScale (they redo each column,
-// like a 166 MHz UltraSPARC 1 next to a 440 MHz UltraSPARC 10).
+// workers speaking the binary wire protocol over TCP render the
+// Mandelbrot set, one image column per loop iteration, with results
+// piggy-backed on each work request exactly as section 5 describes.
+// Heterogeneity is emulated by giving some workers a WorkScale (they
+// redo each column, like a 166 MHz UltraSPARC 1 next to a 440 MHz
+// UltraSPARC 10).
 //
 // Run with: go run ./examples/mandelfarm [-scheme DTSS] [-o farm.png]
 package main
@@ -57,7 +58,7 @@ func main() {
 	// slower. Run self-hosts the master on an ephemeral port and wires
 	// one RPC connection per worker.
 	const workers = 4
-	fmt.Printf("rendering under %s with %d net/rpc workers\n", scheme.Name(), workers)
+	fmt.Printf("rendering under %s with %d TCP workers\n", scheme.Name(), workers)
 	rep, err := loopsched.Run(context.Background(), loopsched.RunSpec{
 		Backend:  loopsched.BackendRPC,
 		Scheme:   scheme,

@@ -1,4 +1,4 @@
-// Shootout: every self-scheduling scheme races on the real net/rpc
+// Shootout: every self-scheduling scheme races on the real TCP
 // runtime — same Mandelbrot job, same four TCP workers (two of them
 // emulated 3× slower), one row per scheme. The results are verified
 // bit-identical across schemes before the table prints, demonstrating

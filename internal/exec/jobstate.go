@@ -62,9 +62,10 @@ type JobCounts struct {
 //
 // Termination is masterless: drained flips when the policy runs dry
 // (it can never un-dry — a re-plan covers only the remaining
-// iterations, which is zero by then), after which granted is frozen;
-// the job is finished once drained && completed == granted, i.e.
-// every granted iteration has been executed by somebody.
+// iterations, which is zero by then), after which granted is frozen
+// once no ledger claim is still in flight; the job is finished once
+// drained && claiming == 0 && completed == granted, i.e. every granted
+// iteration has been executed by somebody.
 type JobState struct {
 	scheme        sched.Scheme
 	w             workload.Workload
@@ -85,10 +86,15 @@ type JobState struct {
 	// bypasses s.mu entirely — one fetch-and-add claims a window of
 	// steps and the table maps each to its chunk. nil keeps the policy
 	// path. ledgerChunks is the ledger's share of the chunk tally,
-	// folded into Counts alongside the mu-guarded chunks.
+	// folded into Counts alongside the mu-guarded chunks. claiming
+	// counts refills between their fetch-and-add and their last
+	// granted update: a later claimer can see the table dry and flip
+	// drained while an earlier one is still booking valid steps, so
+	// granted is only final once claiming is back to zero.
 	ledgerTab    *ledger.Table
 	ledgerCtr    ledger.Local
 	ledgerChunks atomic.Int64
+	claiming     atomic.Int64
 
 	granted   atomic.Int64
 	completed atomic.Int64
@@ -332,6 +338,7 @@ func (s *JobState) refillLedger(worker, acpNow int) (sched.Assignment, int, bool
 	window := cap(s.scratch[worker])
 	iters := 0
 
+	s.claiming.Add(1)
 	step, _ := s.ledgerCtr.FetchAdd(window)
 	claimAt := s.bus.Now()
 	fetch := s.event(telemetry.LedgerFetch, worker)
@@ -359,6 +366,7 @@ func (s *JobState) refillLedger(worker, acpNow int) (sched.Assignment, int, bool
 		s.bus.Publish(e)
 		batch = append(batch, a)
 	}
+	s.claiming.Add(-1)
 	if len(batch) == 0 {
 		return sched.Assignment{}, 0, false
 	}
@@ -409,7 +417,7 @@ func (s *JobState) Complete(worker int, a sched.Assignment, acpNow int, seconds 
 	e.Span = telemetry.SpanID(s.job, a.Start)
 	e.At, e.Seconds = s.bus.Now(), seconds
 	s.bus.Publish(e)
-	return s.drained.Load() && done >= s.granted.Load()
+	return s.drained.Load() && s.claiming.Load() == 0 && done >= s.granted.Load()
 }
 
 // Latency snapshots the job's request-to-grant and per-chunk compute
@@ -434,7 +442,7 @@ func (s *JobState) Drained() bool { return s.drained.Load() }
 // Finished reports whether the job is complete: the policy is dry and
 // every granted iteration has been executed.
 func (s *JobState) Finished() bool {
-	return s.drained.Load() && s.completed.Load() >= s.granted.Load()
+	return s.drained.Load() && s.claiming.Load() == 0 && s.completed.Load() >= s.granted.Load()
 }
 
 // Granted returns the iterations granted so far.

@@ -96,3 +96,64 @@ func TestJobStateLiveCounterReads(t *testing.T) {
 		t.Errorf("pops %d + steals %d + immediate %d != chunks %d", pops, steals, refills, counts.Chunks)
 	}
 }
+
+// TestJobStateLedgerFinishIsFinal: on the ledger path a refill whose
+// claim lands past the table's end flips drained while an earlier
+// claimer may still be booking its valid steps. Finished (and a true
+// Complete) must not fire in that window: whenever a worker observes
+// the job finished, every iteration has been granted and executed.
+func TestJobStateLedgerFinishIsFinal(t *testing.T) {
+	const n, p, rounds = 4000, 4, 200
+	for r := 0; r < rounds; r++ {
+		js, err := NewJobState(JobConfig{
+			Scheme:   sched.CSSScheme{K: 8},
+			Workload: workload.Uniform{N: n},
+			Workers:  p,
+			Window:   4,
+			Ledger:   LedgerOn,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !js.LedgerActive() {
+			t.Fatal("ledger did not arm for CSS")
+		}
+		var wg sync.WaitGroup
+		early := make(chan int64, p)
+		for w := 0; w < p; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for {
+					a, ok := js.Pop(w)
+					if !ok {
+						a, ok = js.Steal(w)
+					}
+					if !ok {
+						a, _, ok = js.Refill(w, 1, 0, 0)
+					}
+					if !ok {
+						if js.Finished() {
+							if got := js.Completed(); got != n {
+								early <- got
+							}
+							return
+						}
+						runtime.Gosched()
+						continue
+					}
+					if js.Complete(w, a, 1, 0) {
+						if got := js.Completed(); got != n {
+							early <- got
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(early)
+		for got := range early {
+			t.Fatalf("round %d: job observed finished with %d of %d iterations executed", r, got, n)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"net"
+	"sync/atomic"
 	"testing"
 
 	"loopsched/internal/sched"
@@ -30,27 +31,27 @@ func startLedgerMaster(t *testing.T, s sched.Scheme, iterations, workers int) (*
 }
 
 // TestLedgerMixedTransportsOneListener runs the fetch-and-add ledger in
-// a mixed fleet on one sniffed listener: a gob worker whose grants come
-// off the ledger counter through the master path, a binary worker
-// holding a table replica that claims steps with one-sided FetchAdd
-// frames, and a binary worker without a replica on the batched-grant
-// protocol. All three draw from the same step counter, so every
-// iteration must arrive exactly once and the chunk tally must equal the
+// a mixed fleet on one listener: a worker holding a table replica that
+// claims steps with one-sided FetchAdd frames, and a worker without a
+// replica whose grants come off the same step counter through the
+// master's batched request/grant path. Every iteration must be
+// computed and arrive exactly once, and the chunk tally must equal the
 // table's step count.
 func TestLedgerMixedTransportsOneListener(t *testing.T) {
 	const n = 900
 	for _, scheme := range []sched.Scheme{sched.TSSScheme{}, sched.CSSScheme{K: 7}, sched.GSSScheme{}} {
 		t.Run(scheme.Name(), func(t *testing.T) {
-			m, addr, stop := startLedgerMaster(t, scheme, n, 3)
+			m, addr, stop := startLedgerMaster(t, scheme, n, 2)
 			defer stop()
 			if !m.LedgerActive() {
 				t.Fatalf("ledger did not arm for step-deterministic scheme %s", scheme.Name())
 			}
 
+			counts := make([]int32, n)
+			k := countingKernel(counts)
 			runWorkers(t, addr, []Worker{
-				{ID: 0, Kernel: intKernel, Transport: TransportNetRPC, Pipeline: true},
-				{ID: 1, Kernel: intKernel, Transport: TransportBinary, Window: 2, LedgerTable: m.Ledger()},
-				{ID: 2, Kernel: intKernel, Transport: TransportBinary, Window: 2, Pipeline: true},
+				{ID: 0, Kernel: k, Window: 2, LedgerTable: m.Ledger()},
+				{ID: 1, Kernel: k, Window: 2},
 			})
 			results, rep, err := m.Wait()
 			if err != nil {
@@ -65,6 +66,9 @@ func TestLedgerMixedTransportsOneListener(t *testing.T) {
 			for i, r := range results {
 				if !bytes.Equal(r, intKernel(i)) {
 					t.Fatalf("result %d corrupted: %v", i, r)
+				}
+				if c := atomic.LoadInt32(&counts[i]); c != 1 {
+					t.Errorf("iteration %d computed %d times, want 1", i, c)
 				}
 			}
 		})
@@ -84,9 +88,9 @@ func TestLedgerAllWireWorkers(t *testing.T) {
 	}
 
 	runWorkers(t, addr, []Worker{
-		{ID: 0, Kernel: intKernel, Transport: TransportBinary, Window: 2, LedgerTable: tab},
-		{ID: 1, Kernel: intKernel, Transport: TransportBinary, Window: 4, LedgerTable: tab, WorkScale: 2},
-		{ID: 2, Kernel: intKernel, Transport: TransportBinary, Window: 1, LedgerTable: tab},
+		{ID: 0, Kernel: intKernel, Window: 2, LedgerTable: tab},
+		{ID: 1, Kernel: intKernel, Window: 4, LedgerTable: tab, WorkScale: 2},
+		{ID: 2, Kernel: intKernel, Window: 1, LedgerTable: tab},
 	})
 	results, rep, err := m.Wait()
 	if err != nil {

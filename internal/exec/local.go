@@ -1,8 +1,9 @@
 // Package exec runs parallel loops for real — not simulated — under
 // any self-scheduling scheme: Local drives goroutine workers through
 // an in-process master (the shared-memory analogue of the paper's MPI
-// program), and Master/Worker in rpc.go speak net/rpc over TCP, which
-// is the stdlib stand-in for the paper's mpich master–slave processes.
+// program), and Master/Worker in rpc.go speak the binary framing codec
+// of internal/wire over TCP, standing in for the paper's mpich
+// master–slave processes.
 package exec
 
 import (

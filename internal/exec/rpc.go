@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,21 +31,20 @@ import (
 // the one being computed plus the credit window of prefetched ones
 // (SetWindow; the default window of 1 is the classic double buffer).
 //
-// Two transports speak this protocol (see transport.go): the original
-// net/rpc + gob encoding, one chunk per round trip, and the binary
-// framing codec of internal/wire, which batches N completion records
-// and up to `credits` grants into single frames. Serve sniffs the
-// first byte of each connection, so one listener carries both.
+// The dialogue travels over the binary framing codec of internal/wire,
+// which batches N completion records and up to `credits` grants into
+// single frames (wire.go).
 //
 // The master's hot path is de-contended: results deposit into a
 // lock-free ledger (one atomic flip per iteration index), per-worker
 // protocol state lives in per-worker slots with their own locks, and
-// for fixed-chunk schemes (sched.FixedChunker: SS, CSS) grants come
-// from an atomic iteration counter, so steady-state requests from
-// different workers never share a lock. Stateful stage-based schemes
-// (GSS, TSS, factoring, ...) and every recovery path (failures,
-// requeues, parking, cancellation) fall back to the original locked
-// scheduler under Master.mu. See docs/PROTOCOL.md for the handshake.
+// for step-deterministic schemes (sched.StepDeterministic: SS, CSS,
+// GSS, TSS, factoring, ...) grants come from one fetch-and-add on a
+// precomputed step table (internal/ledger), so steady-state requests
+// from different workers never share a lock. Adaptive schemes and
+// every recovery path (failures, requeues, parking, cancellation) fall
+// back to the locked scheduler under Master.mu. See docs/PROTOCOL.md
+// for the handshake.
 
 // ChunkResult carries the output of one computed iteration back to
 // the master.
@@ -92,15 +90,6 @@ type ChunkArgs struct {
 	DepositOnly bool
 }
 
-// ChunkReply is the master's answer on the net/rpc transport. An
-// empty reply (zero Assign, Stop false) to a Prefetch request means
-// "nothing to prefetch right now": the worker should finish its
-// current chunk and ask again without the flag.
-type ChunkReply struct {
-	Assign sched.Assignment
-	Stop   bool
-}
-
 // slot is the per-worker protocol state. Each slot has its own lock,
 // so steady-state requests from different workers touch no shared
 // mutex; Master.mu is only ever acquired before a slot lock, never
@@ -113,6 +102,11 @@ type slot struct {
 	lastReply   time.Time
 	joined      bool
 	failed      bool // mirror of Master.failed, for the lock-free path
+	// commResidue carries the negative residue of gap − comp − idle into
+	// the next request: ledger deposits arrive in bursts whose in-burst
+	// gaps are shorter than the compute they report, and clipping each
+	// request at zero on its own would count that compute twice.
+	commResidue float64
 }
 
 // Master is the RPC scheduling service. Create with NewMaster, expose
@@ -135,22 +129,17 @@ type Master struct {
 	results  [][]byte
 	chunks   atomic.Int64
 
-	// De-contended grant counter for fixed-chunk schemes. fastStep is
-	// the constant chunk size (0 disables the fast path); fastNext is
-	// the first unassigned iteration; fastOff forces every request
-	// through the locked scheduler once failures or requeues exist.
-	fastStep int
-	fastNext atomic.Int64
-	fastOff  atomic.Bool
-
-	// Decentralized scheduling ledger (SetLedger): when ledgerTab is
+	// Grant counter for step-deterministic schemes: when ledgerTab is
 	// non-nil, the step counter + table pair is the single source of
-	// every fresh grant — wire workers claim steps directly with
-	// FetchAdd frames, and the master-path grants (gob workers, mixed
-	// fleets, the requeue tail) draw from the same counter, so no
-	// range is ever issued twice across the two protocols.
+	// every fresh grant. Master-path requests claim one step each; with
+	// the ledger on (SetLedger) wire workers also claim steps directly
+	// with FetchAdd frames, so no range is ever issued twice across
+	// the two protocols. fastOff forces every request through the
+	// locked scheduler once failures or requeues exist.
 	ledgerTab *ledger.Table
 	ledgerCtr ledger.Local
+	ledgerOn  bool
+	fastOff   atomic.Bool
 
 	// Latency histograms for the report: request-to-grant on the
 	// master's clock (recorded only when a bus supplies that clock)
@@ -173,7 +162,7 @@ type Master struct {
 	replans    int
 	requeued   []sched.Assignment // failed workers' chunks to re-issue
 	failed     map[int]bool
-	parked     []bool // workers idling inside a held NextChunk call
+	parked     []bool // workers idling inside a held request
 	started    time.Time
 	finished   time.Time
 	done       chan struct{}
@@ -220,8 +209,12 @@ func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
 			return nil, err
 		}
 		m.policy = pol
-		if step, ok := sched.FixedChunk(scheme, cfg); ok && step > 0 {
-			m.fastStep = step
+		tab, err := ledger.Build(scheme, cfg)
+		switch {
+		case err == nil:
+			m.ledgerTab = tab
+		case !errors.Is(err, ledger.ErrIneligible):
+			return nil, err
 		}
 	}
 	if iterations == 0 {
@@ -257,42 +250,37 @@ func (m *Master) SetWindow(w int) {
 // ledgerCap is the per-worker in-flight chunk bound.
 func (m *Master) ledgerCap() int { return m.window + 1 }
 
-// SetLedger requests the decentralized scheduling ledger. With
-// LedgerOn (or "" resolving to it via LOOPSCHED_LEDGER) and a
-// step-deterministic scheme, the master precomputes the run's chunk
-// table and serves one-sided FetchAdd claims; ineligible schemes
-// silently keep the master path, so callers may pass "on"
-// unconditionally. Call before Serve. Ledger mode trades failure
-// recovery for speed: steps a wire worker claimed for itself are not
-// tracked in any per-worker ledger, so FailWorker cannot requeue them
-// (see docs/LEDGER.md).
+// SetLedger requests the decentralized scheduling ledger. The master
+// grants every step-deterministic scheme from its step table either
+// way; with LedgerOn (or "" resolving to it via LOOPSCHED_LEDGER) it
+// also serves one-sided FetchAdd claims, hands out worker replicas
+// through Ledger, and counts its own step claims as ledger fetches.
+// Ineligible schemes silently keep the master path, so callers may
+// pass "on" unconditionally. Call before Serve. Ledger mode trades
+// failure recovery for speed: steps a wire worker claimed for itself
+// are not tracked in any per-worker ledger, so FailWorker cannot
+// requeue them (see docs/LEDGER.md).
 func (m *Master) SetLedger(mode LedgerMode) error {
 	mode, ok := mode.Normalize()
 	if !ok {
 		return fmt.Errorf("exec: unknown ledger mode %q", mode)
 	}
-	if mode != LedgerOn {
-		m.ledgerTab = nil
-		return nil
-	}
-	tab, err := ledger.Build(m.scheme, sched.Config{Iterations: m.iterations, Workers: m.workers})
-	if err != nil {
-		if errors.Is(err, ledger.ErrIneligible) {
-			return nil // master path; the request is advisory
-		}
-		return err
-	}
-	m.ledgerTab = tab
+	m.ledgerOn = mode == LedgerOn && m.ledgerTab != nil
 	return nil
 }
 
-// LedgerActive reports whether grants come from the fetch-and-add
-// ledger (SetLedger accepted the scheme).
-func (m *Master) LedgerActive() bool { return m.ledgerTab != nil }
+// LedgerActive reports whether workers may claim from the
+// fetch-and-add ledger (SetLedger accepted the scheme).
+func (m *Master) LedgerActive() bool { return m.ledgerOn }
 
 // Ledger returns the armed ledger table (nil when inactive) — hand it
-// to Worker.LedgerTable so binary-transport workers claim one-sided.
-func (m *Master) Ledger() *ledger.Table { return m.ledgerTab }
+// to Worker.LedgerTable so workers claim one-sided.
+func (m *Master) Ledger() *ledger.Table {
+	if !m.ledgerOn {
+		return nil
+	}
+	return m.ledgerTab
+}
 
 // ledgerFetchAdd services one wire-level claim: bump the shared step
 // counter by n and account every valid claimed step as a granted
@@ -334,22 +322,16 @@ func (m *Master) ledgerFetchAdd(worker, n int) uint64 {
 // fetchAddFunc returns the wire ledger hook, or nil when the master
 // hosts no ledger (FetchAdd frames then drop the connection).
 func (m *Master) fetchAddFunc() FetchAddFunc {
-	if m.ledgerTab == nil {
+	if !m.ledgerOn {
 		return nil
 	}
 	return m.ledgerFetchAdd
 }
 
-// Serve accepts connections until the listener closes, sniffing each
-// connection's first byte to route it: the binary wire preamble to
-// the framed chunk service, anything else to a net/rpc server
-// speaking the original gob protocol. It returns immediately; close
-// the listener after Wait to shut down.
+// Serve accepts connections until the listener closes, running the
+// framed chunk service on each. It returns immediately; close the
+// listener after Wait to shut down.
 func (m *Master) Serve(l net.Listener) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", m); err != nil {
-		return err
-	}
 	m.serveWG.Add(1)
 	go func() {
 		defer m.serveWG.Done()
@@ -364,7 +346,7 @@ func (m *Master) Serve(l net.Listener) error {
 			m.serveWG.Add(1)
 			go func() {
 				defer m.serveWG.Done()
-				ServeSniffed(srv, conn, m.bus, 0, m.nextBatch, m.fetchAddFunc())
+				ServeConn(conn, m.bus, 0, m.nextBatch, m.fetchAddFunc())
 			}()
 		}
 	}()
@@ -411,23 +393,7 @@ func (m *Master) plan() error {
 	return nil
 }
 
-// NextChunk is the net/rpc entry point the gob slaves call: deposit
-// previous results, get the next interval (or, with Prefetch, the one
-// after it). It is the one-grant special case of nextBatch.
-func (m *Master) NextChunk(args ChunkArgs, reply *ChunkReply) error {
-	var grants [1]sched.Assignment
-	rep := wire.Reply{Grants: grants[:0]}
-	if err := m.nextBatch(args, 1, &rep); err != nil {
-		return err
-	}
-	reply.Stop = rep.Stop
-	if len(rep.Grants) > 0 {
-		reply.Assign = rep.Grants[0]
-	}
-	return nil
-}
-
-// nextBatch is the transport-independent request handler: deposit the
+// nextBatch is the master's request handler: deposit the
 // piggy-backed results, account the worker's timing, then grant up to
 // `credits` chunks into rep (clamped to the ledger room). The first
 // grant carries the full protocol semantics — parking a drained
@@ -545,7 +511,9 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 		// communication (request/result transfer) from the master's
 		// point of view. The gap is charged even for near-zero-duration
 		// chunks — only the very first request (no previous reply) has
-		// no gap to measure.
+		// no gap to measure. A negative residue is carried, not
+		// dropped, so a burst of deposits nets out against the gap that
+		// preceded it.
 		if args.CompSeconds > 0 {
 			s.times.Comp += args.CompSeconds
 			m.compHist.Record(args.Worker, args.CompSeconds)
@@ -554,8 +522,10 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 			s.times.Idle += args.IdleSeconds
 		}
 		if prev := s.lastReply; !prev.IsZero() {
-			if gap := now.Sub(prev).Seconds() - args.CompSeconds - args.IdleSeconds; gap > 0 {
-				s.times.Comm += gap
+			s.commResidue += now.Sub(prev).Seconds() - args.CompSeconds - args.IdleSeconds
+			if s.commResidue > 0 {
+				s.times.Comm += s.commResidue
+				s.commResidue = 0
 			}
 		}
 	}
@@ -576,12 +546,12 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 }
 
 // fastGrants serves a request entirely without Master.mu: grants come
-// from the atomic iteration counter, the ledger update from the
-// worker's own slot lock. It reports false when the request needs the
-// locked scheduler (non-fixed scheme, failures pending, counter
+// from the step table's fetch-and-add counter, the ledger update from
+// the worker's own slot lock. It reports false when the request needs
+// the locked scheduler (adaptive scheme, failures pending, table
 // drained on a parkable request, run finished).
 func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) bool {
-	if (m.fastStep == 0 && m.ledgerTab == nil) || m.fastOff.Load() || m.doneClosed() {
+	if m.ledgerTab == nil || m.fastOff.Load() || m.doneClosed() {
 		return false
 	}
 	s := &m.slots[args.Worker]
@@ -612,40 +582,22 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 	return true
 }
 
-// fastTake claims the next fixed-size chunk from the atomic counter,
-// clipping the final chunk to the remaining iterations exactly as the
-// policy's counter would. In ledger mode the claim is a fetch-and-add
-// on the shared step counter instead, so master-path grants and the
-// workers' one-sided claims interleave without double-assignment; each
-// successful in-process claim counts as one ledger fetch (zero round
-// trip) so loopsched_ledger_fetchadds_total tallies every fetch-and-add
-// regardless of which side issued it.
+// fastTake claims the next step of the table with one fetch-and-add
+// on the shared step counter, so master-path grants and the workers'
+// one-sided claims interleave without double-assignment. In ledger
+// mode each successful in-process claim counts as one ledger fetch
+// (zero round trip) so loopsched_ledger_fetchadds_total tallies every
+// fetch-and-add regardless of which side issued it.
 func (m *Master) fastTake(w int) (sched.Assignment, bool) {
-	if m.ledgerTab != nil {
-		step, _ := m.ledgerCtr.FetchAdd(1)
-		a, ok := m.ledgerTab.Chunk(step)
-		if ok && m.bus != nil {
-			m.bus.Publish(telemetry.Event{
-				Kind: telemetry.LedgerFetch, Worker: w,
-				Start: 1, At: m.bus.Now(),
-			})
-		}
-		return a, ok
+	step, _ := m.ledgerCtr.FetchAdd(1)
+	a, ok := m.ledgerTab.Chunk(step)
+	if ok && m.ledgerOn && m.bus != nil {
+		m.bus.Publish(telemetry.Event{
+			Kind: telemetry.LedgerFetch, Worker: w,
+			Start: 1, At: m.bus.Now(),
+		})
 	}
-	total := int64(m.iterations)
-	for {
-		cur := m.fastNext.Load()
-		if cur >= total {
-			return sched.Assignment{}, false
-		}
-		size := int64(m.fastStep)
-		if rest := total - cur; size > rest {
-			size = rest
-		}
-		if m.fastNext.CompareAndSwap(cur, cur+size) {
-			return sched.Assignment{Start: int(cur), Size: int(size)}, true
-		}
-	}
+	return a, ok
 }
 
 // lockedGrants is the fallback scheduler: the distributed gather
@@ -763,11 +715,11 @@ func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 }
 
 // policyNext is the single source of fresh grants for both paths:
-// the atomic counter for fixed-chunk schemes (so fast and locked
+// the step table for step-deterministic schemes (so fast and locked
 // grants can never double-assign), the policy otherwise. Callers
 // hold mu.
 func (m *Master) policyNext(w int, acpv float64) (sched.Assignment, bool) {
-	if m.fastStep > 0 || m.ledgerTab != nil {
+	if m.ledgerTab != nil {
 		return m.fastTake(w)
 	}
 	a, ok := m.policy.Next(sched.Request{Worker: w, ACP: acpv})
@@ -930,7 +882,7 @@ func (m *Master) FailWorker(worker int) error {
 	return nil
 }
 
-// LastContact returns when the worker last called NextChunk (the
+// LastContact returns when the worker last sent a request (the
 // master's start time if it never has).
 func (m *Master) LastContact(worker int) (time.Time, error) {
 	if worker < 0 || worker >= m.workers {
@@ -946,7 +898,7 @@ func (m *Master) LastContact(worker int) (time.Time, error) {
 // checking every `interval`, until the run completes or stop is
 // closed. It runs in the calling goroutine; start it with `go`. This
 // turns FailWorker's manual requeue into automatic crash recovery.
-// Workers parked inside a held NextChunk call are alive by definition
+// Workers parked inside a held request are alive by definition
 // and are never timed out.
 func (m *Master) WatchTimeouts(interval, timeout time.Duration, stop <-chan struct{}) {
 	ticker := time.NewTicker(interval)
@@ -999,7 +951,7 @@ func (m *Master) Outstanding() map[int][]sched.Assignment {
 }
 
 // Parked returns how many workers are currently idling inside a held
-// NextChunk call, waiting for requeued work or the end of the run.
+// request, waiting for requeued work or the end of the run.
 func (m *Master) Parked() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1044,7 +996,7 @@ func (m *Master) Cancel(cause error) {
 }
 
 // WaitContext is Wait with cancellation: when ctx ends first the run
-// is cancelled (releasing any workers parked in NextChunk) and ctx's
+// is cancelled (releasing any workers parked in a request) and ctx's
 // error is returned.
 func (m *Master) WaitContext(ctx context.Context) ([][]byte, metrics.Report, error) {
 	select {
@@ -1121,21 +1073,15 @@ type Worker struct {
 	// runs, hiding the master round-trip whenever it is shorter than
 	// the chunk's computation.
 	Pipeline bool
-	// Transport selects the wire format (empty uses DefaultTransport,
-	// i.e. the LOOPSCHED_TRANSPORT environment variable or the binary
-	// codec).
-	Transport Transport
-	// Window is the credit window on the binary transport: how many
-	// granted chunks the worker queues beyond the one it is computing
-	// (0 means 1). The gob transport ignores it — its protocol carries
-	// one grant per round trip.
+	// Window is the credit window: how many granted chunks the worker
+	// queues beyond the one it is computing (0 means 1).
 	Window int
-	// LedgerTable, when non-nil, switches the binary transport to the
-	// one-sided ledger protocol: the worker claims scheduling steps
-	// with fetch-and-add frames and computes chunk boundaries from this
+	// LedgerTable, when non-nil, switches the worker to the one-sided
+	// ledger protocol: the worker claims scheduling steps with
+	// fetch-and-add frames and computes chunk boundaries from this
 	// replica of the master's table, reporting completions in no-reply
 	// deposits. It must be built from the same scheme and Config as the
-	// master's (SetLedger); the gob transport ignores it.
+	// master's (SetLedger).
 	LedgerTable *ledger.Table
 	// Telemetry, when non-nil, receives a ChunkCompleted event for
 	// every chunk this worker computes. TelemetryID and TelemetryShard
@@ -1181,22 +1127,6 @@ func (w Worker) window() int {
 	return w.Window
 }
 
-// args builds one request from the worker's current state.
-func (w Worker) args(prefetch bool, results []ChunkResult, comp, idle float64) ChunkArgs {
-	load := 0
-	if w.LoadProbe != nil {
-		load = w.LoadProbe()
-	}
-	return ChunkArgs{
-		Worker:      w.ID,
-		ACP:         w.ACPModel.ACP(w.power(), 1+load),
-		CompSeconds: comp,
-		IdleSeconds: idle,
-		Results:     results,
-		Prefetch:    prefetch,
-	}
-}
-
 // compute runs the kernel over one assignment.
 func (w Worker) compute(a sched.Assignment) []ChunkResult {
 	results := make([]ChunkResult, 0, a.Size)
@@ -1222,136 +1152,14 @@ func (w Worker) RunContext(ctx context.Context, addr string) error {
 	if w.Kernel == nil {
 		return errors.New("exec: worker needs a kernel")
 	}
-	transport, ok := w.Transport.Normalize()
-	if !ok {
-		return fmt.Errorf("exec: unknown transport %q", w.Transport)
-	}
 	var dialer net.Dialer
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return err
 	}
-	if transport == TransportBinary {
-		err = w.runWire(ctx, conn)
-	} else {
-		err = w.runNetRPC(ctx, conn)
-	}
+	err = w.runWire(ctx, conn)
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
 	return err
-}
-
-// runNetRPC drives the original gob protocol over conn.
-func (w Worker) runNetRPC(ctx context.Context, conn net.Conn) error {
-	client := rpc.NewClient(conn)
-	defer client.Close()
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			client.Close()
-		case <-watchDone:
-		}
-	}()
-	if w.Pipeline {
-		return w.runPipelined(client)
-	}
-	return w.runSerial(client)
-}
-
-// runSerial is the paper's §3.1 slave loop: request, compute, piggy-
-// back, repeat. Communication is strictly serialised with computation.
-func (w Worker) runSerial(client *rpc.Client) error {
-	var results []ChunkResult
-	var compSeconds float64
-	for {
-		req := w.args(false, results, compSeconds, 0)
-		var reply ChunkReply
-		if err := client.Call("Master.NextChunk", req, &reply); err != nil {
-			return err
-		}
-		if reply.Stop {
-			return nil
-		}
-		start := time.Now()
-		results = w.compute(reply.Assign)
-		compSeconds = time.Since(start).Seconds()
-		w.publishCompleted(reply.Assign, telemetry.SpanID(0, reply.Assign.Start), req.ACP, compSeconds)
-	}
-}
-
-// replyPool recycles the asynchronous call replies of the pipelined
-// gob loop: rpc.Client.Go needs a reply value that outlives the call,
-// and allocating one per chunk made the reply path the loop's only
-// steady-state garbage.
-var replyPool = sync.Pool{New: func() any { return new(ChunkReply) }}
-
-// getReply takes a zeroed reply from the pool.
-func getReply() *ChunkReply {
-	r := replyPool.Get().(*ChunkReply)
-	*r = ChunkReply{}
-	return r
-}
-
-// runPipelined overlaps communication with computation: while the
-// kernel runs on chunk k, the request for chunk k+1 — carrying chunk
-// k−1's results — is already in flight on a second goroutine, so the
-// master round-trip is hidden whenever it is shorter than the kernel.
-func (w Worker) runPipelined(client *rpc.Client) error {
-	// The first chunk is fetched synchronously (for distributed
-	// schemes this request also joins the gather barrier).
-	var reply ChunkReply
-	if err := client.Call("Master.NextChunk", w.args(false, nil, 0, 0), &reply); err != nil {
-		return err
-	}
-	var pending []ChunkResult // computed results not yet shipped
-	var comp, idle float64    // their timing, not yet shipped
-	for {
-		switch {
-		case reply.Stop:
-			if len(pending) == 0 {
-				return nil
-			}
-			// Ship the final chunk's results; the master answers Stop
-			// again (or, if it somehow has work, the loop runs it).
-			if err := client.Call("Master.NextChunk", w.args(false, pending, comp, idle), &reply); err != nil {
-				return err
-			}
-			pending, comp, idle = nil, 0, 0
-
-		case reply.Assign.Size == 0:
-			// Empty prefetch reply: the master had nothing to issue.
-			// Deliver what we hold and ask again without the flag —
-			// the call parks at the master until the run completes or
-			// a failed worker's chunk needs a new home.
-			if err := client.Call("Master.NextChunk", w.args(false, pending, comp, idle), &reply); err != nil {
-				return err
-			}
-			pending, comp, idle = nil, 0, 0
-
-		default:
-			// Launch the prefetch for the next chunk (carrying the
-			// previous chunk's results), then compute this one.
-			req := w.args(true, pending, comp, idle)
-			asyncReply := getReply()
-			fetch := client.Go("Master.NextChunk", req, asyncReply, nil)
-			start := time.Now()
-			results := w.compute(reply.Assign)
-			comp = time.Since(start).Seconds()
-			w.publishCompleted(reply.Assign, telemetry.SpanID(0, reply.Assign.Start), req.ACP, comp)
-
-			waitStart := time.Now()
-			<-fetch.Done
-			idle = time.Since(waitStart).Seconds() // prefetch-miss stall
-			if fetch.Error != nil {
-				replyPool.Put(asyncReply)
-				return fetch.Error
-			}
-			reply = *asyncReply
-			replyPool.Put(asyncReply)
-			pending = results
-		}
-	}
 }

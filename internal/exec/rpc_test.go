@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
+	"loopsched/internal/wire"
 )
 
 // startMaster spins up a master on an ephemeral localhost TCP port.
@@ -27,6 +29,28 @@ func startMaster(t *testing.T, s sched.Scheme, iterations, workers int) (*Master
 		t.Fatal(err)
 	}
 	return m, l.Addr().String(), func() { l.Close() }
+}
+
+// oneGrant is the master's answer to a one-credit request: the granted
+// assignment (zero when none was issued) and the stop verdict.
+type oneGrant struct {
+	Assign sched.Assignment
+	Stop   bool
+}
+
+// nextOne drives the master directly with a one-credit request — a
+// serial worker's round trip without the socket.
+func nextOne(m *Master, args ChunkArgs) (oneGrant, error) {
+	var grants [1]sched.Assignment
+	rep := wire.Reply{Grants: grants[:0]}
+	if err := m.nextBatch(args, 1, &rep); err != nil {
+		return oneGrant{}, err
+	}
+	g := oneGrant{Stop: rep.Stop}
+	if len(rep.Grants) > 0 {
+		g.Assign = rep.Grants[0]
+	}
+	return g, nil
 }
 
 func intKernel(i int) []byte {
@@ -218,8 +242,8 @@ func TestRPCFailWorkerRequeues(t *testing.T) {
 	defer stop()
 
 	// Worker 2 grabs one chunk and vanishes.
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 2}, &reply); err != nil {
+	reply, err := nextOne(m, ChunkArgs{Worker: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Stop || reply.Assign.Size == 0 {
@@ -267,8 +291,7 @@ func TestRPCFailWorkerRequeues(t *testing.T) {
 func TestRPCAllWorkersFail(t *testing.T) {
 	m, _, stop := startMaster(t, sched.TSSScheme{}, 100, 2)
 	defer stop()
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 0}, &reply); err != nil {
+	if _, err := nextOne(m, ChunkArgs{Worker: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FailWorker(0); err != nil {
@@ -318,8 +341,7 @@ func TestRPCWatchTimeouts(t *testing.T) {
 	defer stop()
 
 	// Worker 2 takes a chunk and goes silent.
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 2}, &reply); err != nil {
+	if _, err := nextOne(m, ChunkArgs{Worker: 2}); err != nil {
 		t.Fatal(err)
 	}
 	stopWatch := make(chan struct{})
@@ -327,7 +349,7 @@ func TestRPCWatchTimeouts(t *testing.T) {
 	go m.WatchTimeouts(5*time.Millisecond, 30*time.Millisecond, stopWatch)
 
 	// The survivors run immediately: they drain the policy, then park
-	// inside NextChunk (parked workers are immune to the watcher) and
+	// inside their request (parked workers are immune to the watcher) and
 	// absorb worker 2's chunk once the heartbeat deadline requeues it.
 	runWorkers(t, addr, []Worker{
 		{ID: 0, Kernel: intKernel},
@@ -392,7 +414,7 @@ func countingKernel(counts []int32) Kernel {
 }
 
 // TestRPCLateFailureRequeued is the lost-iterations race regression:
-// a worker that drains the policy is parked inside NextChunk rather
+// a worker that drains the policy is parked inside its request rather
 // than stopped while another worker's chunk is still in flight, so a
 // late FailWorker finds a live worker to absorb the requeued chunk
 // instead of "completing" the run with silently missing results.
@@ -402,8 +424,8 @@ func TestRPCLateFailureRequeued(t *testing.T) {
 	defer stop()
 
 	// Worker 1 grabs the first chunk and goes silent.
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 1}, &reply); err != nil {
+	reply, err := nextOne(m, ChunkArgs{Worker: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Stop || reply.Assign.Size == 0 {
@@ -445,8 +467,8 @@ func TestRPCResurrectedWorkerStopped(t *testing.T) {
 	m, addr, stop := startMaster(t, sched.TSSScheme{}, n, 2)
 	defer stop()
 
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 1}, &reply); err != nil {
+	reply, err := nextOne(m, ChunkArgs{Worker: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	a := reply.Assign
@@ -459,8 +481,8 @@ func TestRPCResurrectedWorkerStopped(t *testing.T) {
 	for i := a.Start; i < a.End(); i++ {
 		res = append(res, ChunkResult{Index: i, Data: intKernel(i)})
 	}
-	var again ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 1, Results: res}, &again); err != nil {
+	again, err := nextOne(m, ChunkArgs{Worker: 1, Results: res})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.Stop {
@@ -559,11 +581,12 @@ func TestRPCPipelinedFailWorker(t *testing.T) {
 	defer stop()
 
 	// Worker 2 double-buffers two chunks into flight…
-	var r1, r2 ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 2}, &r1); err != nil {
+	r1, err := nextOne(m, ChunkArgs{Worker: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.NextChunk(ChunkArgs{Worker: 2, Prefetch: true}, &r2); err != nil {
+	r2, err := nextOne(m, ChunkArgs{Worker: 2, Prefetch: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Stop || r1.Assign.Size == 0 || r2.Stop || r2.Assign.Size == 0 {
@@ -574,8 +597,8 @@ func TestRPCPipelinedFailWorker(t *testing.T) {
 		t.Fatalf("outstanding ledger: %v", out)
 	}
 	// …a third prefetch is refused (two-slot cap)…
-	var r3 ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 2, Prefetch: true}, &r3); err != nil {
+	r3, err := nextOne(m, ChunkArgs{Worker: 2, Prefetch: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if r3.Stop || r3.Assign.Size != 0 {
@@ -620,8 +643,8 @@ func TestRPCCommGapZeroComp(t *testing.T) {
 	m, _, stop := startMaster(t, sched.CSSScheme{K: 2}, n, 1)
 	defer stop()
 
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 0}, &reply); err != nil {
+	reply, err := nextOne(m, ChunkArgs{Worker: 0})
+	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -633,12 +656,12 @@ func TestRPCCommGapZeroComp(t *testing.T) {
 		return res
 	}
 	// Zero-duration chunk: CompSeconds stays 0.
-	var r2 ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 0, Results: deliver(reply.Assign)}, &r2); err != nil {
+	r2, err := nextOne(m, ChunkArgs{Worker: 0, Results: deliver(reply.Assign)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var r3 ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 0, Results: deliver(r2.Assign)}, &r3); err != nil {
+	r3, err := nextOne(m, ChunkArgs{Worker: 0, Results: deliver(r2.Assign)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !r3.Stop {
@@ -653,7 +676,7 @@ func TestRPCCommGapZeroComp(t *testing.T) {
 	}
 }
 
-// TestRPCLastReplyNotStampedOnError: an errored NextChunk produces no
+// TestRPCLastReplyNotStampedOnError: an errored request produces no
 // reply the worker can see, so it must not reset the communication-gap
 // clock.
 func TestRPCLastReplyNotStampedOnError(t *testing.T) {
@@ -661,22 +684,20 @@ func TestRPCLastReplyNotStampedOnError(t *testing.T) {
 	m, _, stop := startMaster(t, sched.CSSScheme{K: 2}, n, 1)
 	defer stop()
 
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 0}, &reply); err != nil {
+	if _, err := nextOne(m, ChunkArgs{Worker: 0}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
 	// A malformed call fails — and must not be counted as a reply.
-	var bad ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 0, Results: []ChunkResult{{Index: 99}}}, &bad); err == nil {
+	if _, err := nextOne(m, ChunkArgs{Worker: 0, Results: []ChunkResult{{Index: 99}}}); err == nil {
 		t.Fatal("out-of-range result index accepted")
 	}
 	res := []ChunkResult{
 		{Index: 0, Data: intKernel(0)},
 		{Index: 1, Data: intKernel(1)},
 	}
-	var final ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 0, Results: res}, &final); err != nil {
+	final, err := nextOne(m, ChunkArgs{Worker: 0, Results: res})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !final.Stop {
@@ -697,11 +718,66 @@ func TestRPCLastReplyNotStampedOnError(t *testing.T) {
 func TestRPCBadWorkerID(t *testing.T) {
 	m, _, stop := startMaster(t, sched.TSSScheme{}, 10, 1)
 	defer stop()
-	var reply ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 5}, &reply); err == nil {
+	if _, err := nextOne(m, ChunkArgs{Worker: 5}); err == nil {
 		t.Error("bad worker id accepted")
 	}
-	if err := m.NextChunk(ChunkArgs{Worker: 0, Results: []ChunkResult{{Index: 99}}}, &reply); err == nil {
+	if _, err := nextOne(m, ChunkArgs{Worker: 0, Results: []ChunkResult{{Index: 99}}}); err == nil {
 		t.Error("out-of-range result index accepted")
+	}
+}
+
+// accountedFrac is Σ_w (comm+wait+comp+idle) / (p·Tp): how much of the
+// run's wall clock the per-worker breakdown claims. Wait fills each
+// worker up to Tp, so the sum can only exceed 1 when comm, comp and
+// idle together count some of a worker's time twice.
+func accountedFrac(rep metrics.Report) float64 {
+	sum := 0.0
+	for _, t := range rep.PerWorker {
+		sum += t.Total()
+	}
+	return sum / (float64(len(rep.PerWorker)) * rep.Tp)
+}
+
+// TestRPCTimeAccountingReconciles: the per-worker comm/wait/comp/idle
+// breakdown must fit inside p·Tp on the paths whose requests arrive in
+// bursts — ledger deposits (one no-reply frame per chunk, flushed
+// together) and pipelined prefetches — where clipping each request's
+// communication residue at zero on its own counts compute twice.
+func TestRPCTimeAccountingReconciles(t *testing.T) {
+	const (
+		n   = 20000
+		tol = 0.05
+	)
+	for _, tc := range []struct {
+		name   string
+		ledger bool
+	}{
+		{"ledger-on", true},
+		{"pipelined-ledger-off", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				m    *Master
+				addr string
+				stop func()
+			)
+			if tc.ledger {
+				m, addr, stop = startLedgerMaster(t, sched.SelfScheduling, n, 2)
+			} else {
+				m, addr, stop = startMaster(t, sched.SelfScheduling, n, 2)
+			}
+			defer stop()
+			runWorkers(t, addr, []Worker{
+				{ID: 0, Kernel: intKernel, Pipeline: true, LedgerTable: m.Ledger()},
+				{ID: 1, Kernel: intKernel, Pipeline: true, LedgerTable: m.Ledger()},
+			})
+			_, rep, err := m.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := accountedFrac(rep); got > 1+tol {
+				t.Errorf("Σ_w(comm+wait+comp+idle) = %.3f × p·Tp, want ≤ %.2f (Tp %.4fs)", got, 1+tol, rep.Tp)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"net"
-	"net/rpc"
 	"time"
 
 	"loopsched/internal/sched"
@@ -12,10 +11,10 @@ import (
 	"loopsched/internal/wire"
 )
 
-// This file is the binary-transport half of the chunk protocol: the
-// sniffing connection router shared by the flat master and the
-// hierarchical submasters, the server-side frame loop, and the worker
-// loops that speak internal/wire instead of net/rpc.
+// This file is the wire half of the chunk protocol: the connection
+// server shared by the flat master and the hierarchical submasters,
+// the server-side frame loop, and the worker loops that speak
+// internal/wire.
 
 // BatchFunc answers one batched chunk request: deposit args.Results,
 // then append up to `credits` grants (or a stop/park verdict) into
@@ -38,37 +37,17 @@ type FetchAddFunc func(worker, n int) uint64
 // windows. See docs/LEDGER.md for the tail-waste tradeoff.
 const ledgerClaimFactor = 4
 
-// sniffedConn replays the bytes a protocol sniffer buffered ahead of
-// the gob stream.
-type sniffedConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func (c sniffedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// ServeSniffed serves one accepted connection, routing by its first
-// byte: the binary wire preamble (wire.Magic, which no gob stream can
-// open with) goes to the framed batch service, everything else to the
-// net/rpc server. It returns when the dialogue ends and closes the
-// connection. bus (nil allowed) receives wire frame counters; shard
-// labels them.
-func ServeSniffed(srv *rpc.Server, conn net.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fetch FetchAddFunc) {
-	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	if first[0] != wire.Magic {
-		srv.ServeConn(sniffedConn{Conn: conn, r: br})
-		return
-	}
-	if err := wire.ConsumePreamble(br); err != nil {
-		conn.Close()
-		return
-	}
+// ServeConn serves one accepted connection: it checks the client's
+// wire preamble, then runs the framed batch service until the dialogue
+// ends, and closes the connection. A stream that does not open with
+// the preamble is dropped. bus (nil allowed) receives wire frame
+// counters; shard labels them.
+func ServeConn(conn net.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fetch FetchAddFunc) {
 	defer conn.Close()
+	br := bufio.NewReader(conn)
+	if err := wire.ConsumePreamble(br); err != nil {
+		return
+	}
 	serveWire(wire.NewServer(conn, br), bus, shard, batch, fetch)
 }
 
@@ -142,8 +121,8 @@ func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fet
 		}
 		stop := false
 		if err := batch(args, req.Credits, &rep); err != nil {
-			// Mirror net/rpc: the error rides back to the caller, the
-			// connection stays up for the next request.
+			// The error rides back to the caller; the connection stays
+			// up for the next request.
 			rep.Reset()
 			rep.Err = err.Error()
 		} else {
@@ -184,7 +163,7 @@ func (w Worker) runWire(ctx context.Context, conn net.Conn) error {
 	if w.Pipeline {
 		return w.runWirePipelined(c)
 	}
-	return w.runWireSerial(c)
+	return w.runWireSerial(c, 0)
 }
 
 // toRecords converts kernel results into wire records, reusing dst's
@@ -242,10 +221,12 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 	return acpv
 }
 
-// runWireSerial is the paper's slave loop on the binary transport:
-// one synchronous round trip fetches up to a window of grants, the
-// worker computes them all, and the results ride on the next request.
-func (w Worker) runWireSerial(c *wire.Conn) error {
+// runWireSerial is the paper's slave loop: one synchronous round trip
+// fetches up to a window of grants, the worker computes them all, and
+// the results ride on the next request. idle is stall time already
+// accumulated (the ledger loop's claim waits), reported on the first
+// request.
+func (w Worker) runWireSerial(c *wire.Conn, idle float64) error {
 	var (
 		req     wire.Request
 		rep     wire.Reply
@@ -262,7 +243,7 @@ func (w Worker) runWireSerial(c *wire.Conn) error {
 			spans = echoSpans(spans, results)
 			reqSpans = spans
 		}
-		acpv := w.wireRequest(&req, false, w.window(), records, reqSpans, comp, 0)
+		acpv := w.wireRequest(&req, false, w.window(), records, reqSpans, comp, idle)
 		if err := c.Call(&req, &rep); err != nil {
 			return err
 		}
@@ -271,7 +252,7 @@ func (w Worker) runWireSerial(c *wire.Conn) error {
 		}
 		echo = echo || len(rep.Spans) > 0
 		results = results[:0]
-		comp = 0
+		comp, idle = 0, 0
 		for i, a := range rep.Grants {
 			span := grantSpan(&rep, i, a)
 			start := time.Now()
@@ -400,20 +381,16 @@ func (w Worker) runWirePipelined(c *wire.Conn) error {
 // grant path carries no policy lock, no result copying and no reply
 // encoding. Completions ride no-reply deposits written while the next
 // claim is in flight. When the table drains the loop falls back to the
-// synchronous master dialogue, which ships the final results, absorbs
-// any chunks the master requeued from failed workers, and ends on the
-// master's stop verdict.
+// serial master dialogue, which absorbs any chunks the master requeued
+// from failed workers and ends on the master's stop verdict.
 func (w Worker) runWireLedger(c *wire.Conn) error {
 	tab := w.LedgerTable
 	var (
 		req     wire.Request
-		rep     wire.Reply
 		queue   []sched.Assignment
-		pending []ChunkResult
 		records []wire.Record
-
-		comp, idle float64
-		lastACP    int
+		idle    float64
+		lastACP int
 	)
 	// A one-sided claim costs the same few bytes whatever it claims, it
 	// cannot be requeued on failure anyway, and the table fixes the
@@ -531,29 +508,7 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 			return err
 		}
 	}
-	// The ledger is dry; finish on the synchronous master path, which
-	// hands out requeued chunks (if any) and owns the stop decision.
-	for {
-		records = toRecords(records, pending)
-		acpv := w.wireRequest(&req, false, w.window(), records, nil, comp, idle)
-		if err := c.Call(&req, &rep); err != nil {
-			return err
-		}
-		if rep.Stop {
-			return nil
-		}
-		pending, comp, idle = pending[:0], 0, 0
-		for i, a := range rep.Grants {
-			span := grantSpan(&rep, i, a)
-			start := time.Now()
-			rs := w.compute(a)
-			chunkComp := time.Since(start).Seconds()
-			comp += chunkComp
-			w.publishCompleted(a, span, acpv, chunkComp)
-			for j := range rs {
-				rs[j].Span = span
-			}
-			pending = append(pending, rs...)
-		}
-	}
+	// The ledger is dry; finish on the serial master path, which hands
+	// out requeued chunks (if any) and owns the stop decision.
+	return w.runWireSerial(c, idle)
 }

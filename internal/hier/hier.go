@@ -20,8 +20,8 @@
 //     submaster hop costs an extra link latency (sim.go);
 //   - RunLocal — goroutine submasters over exec.WorkerSpec workers
 //     (local.go);
-//   - Submaster — a net/rpc server for its workers that is at the same
-//     time a pipelined client of the root master, reusing the
+//   - Submaster — a wire-protocol server for its workers that is at
+//     the same time a pipelined client of the root master, reusing the
 //     double-buffered prefetch ledger of the flat RPC runtime
 //     (rpc.go).
 package hier

@@ -195,7 +195,7 @@ func (r *Root) Region(shard int) (lo, next, hi int) {
 }
 
 // RootScheme adapts the hierarchical root allocator to the sched
-// interfaces, so a stock master (e.g. the net/rpc Master) can serve as
+// interfaces, so a stock master (e.g. the exec.Master) can serve as
 // the hierarchy's root: each "worker" of that master is a submaster,
 // and every Policy.Next call returns one super-chunk. The scheme is
 // distributed — the master gathers every submaster's aggregate ACP

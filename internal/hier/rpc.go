@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -15,34 +14,26 @@ import (
 	"loopsched/internal/wire"
 )
 
-// rootCaller abstracts the submaster's upward link so the root fetch
-// can ride either transport. Calls are serialised by the `fetching`
-// flag — at most one fetch is in flight — so implementations need no
-// internal locking.
-type rootCaller interface {
-	Call(args exec.ChunkArgs, reply *exec.ChunkReply) error
-	Close() error
-}
-
-// netrpcRoot speaks the original gob protocol to the root.
-type netrpcRoot struct{ c *rpc.Client }
-
-func (r netrpcRoot) Call(args exec.ChunkArgs, reply *exec.ChunkReply) error {
-	return r.c.Call("Master.NextChunk", args, reply)
-}
-
-func (r netrpcRoot) Close() error { return r.c.Close() }
-
-// wireRoot speaks the binary framing codec to the root, one
-// super-chunk per round trip (the shard-level pipeline, not the
-// credit window, hides the root latency here).
-type wireRoot struct {
+// rootLink is the submaster's upward link: the binary framing codec,
+// one super-chunk per round trip (the shard-level pipeline, not the
+// credit window, hides the root latency here). Calls are serialised by
+// the `fetching` flag — at most one fetch is in flight — so the link
+// needs no internal locking.
+type rootLink struct {
 	c   *wire.Conn
 	req wire.Request
 	rep wire.Reply
 }
 
-func (r *wireRoot) Call(args exec.ChunkArgs, reply *exec.ChunkReply) error {
+// grant is one answer of the one-grant dialogue: an assignment, or a
+// stop verdict, or neither (an empty reply to a prefetch).
+type grant struct {
+	assign sched.Assignment
+	stop   bool
+}
+
+// call ships args to the root and returns its (at most one) grant.
+func (r *rootLink) call(args exec.ChunkArgs) (grant, error) {
 	r.req = wire.Request{
 		Worker:      args.Worker,
 		ACP:         args.ACP,
@@ -56,25 +47,23 @@ func (r *wireRoot) Call(args exec.ChunkArgs, reply *exec.ChunkReply) error {
 		r.req.Results = append(r.req.Results, wire.Record{Index: res.Index, Data: res.Data})
 	}
 	if err := r.c.Call(&r.req, &r.rep); err != nil {
-		return err
+		return grant{}, err
 	}
-	reply.Stop = r.rep.Stop
+	g := grant{stop: r.rep.Stop}
 	if len(r.rep.Grants) > 0 {
-		reply.Assign = r.rep.Grants[0]
+		g.assign = r.rep.Grants[0]
 	}
-	return nil
+	return g, nil
 }
 
-func (r *wireRoot) Close() error { return r.c.Close() }
-
 // Submaster is the middle tier of the RPC hierarchy. To its workers it
-// is indistinguishable from a flat master: it registers the same
-// "Master" RPC service name and speaks the same NextChunk protocol, so
-// stock exec.Worker slaves connect unchanged. To the root it is a
-// pipelined client: it fetches super-chunks with the same
-// double-buffered Prefetch handshake the flat runtime uses between
-// worker and master, piggy-backing its shard's accumulated results on
-// every fetch, so the root round-trip hides behind local computation.
+// is indistinguishable from a flat master: it speaks the same batched
+// request/grant dialogue, so stock exec.Worker slaves connect
+// unchanged. To the root it is a pipelined client: it fetches
+// super-chunks with the same double-buffered Prefetch handshake the
+// flat runtime uses between worker and master, piggy-backing its
+// shard's accumulated results on every fetch, so the root round-trip
+// hides behind local computation.
 //
 // Deadlock discipline: a blocking (parkable) fetch is issued only when
 // the shard holds no undelivered results — every iteration the
@@ -87,7 +76,7 @@ type Submaster struct {
 	workers int
 	scheme  sched.Scheme
 	dist    bool
-	root    rootCaller
+	root    *rootLink
 	bg      sync.WaitGroup // in-flight prefetch goroutines
 	serveWG sync.WaitGroup // accept loop + per-connection servers
 
@@ -131,50 +120,26 @@ type Submaster struct {
 }
 
 // NewSubmaster connects shard `shard` to the root master at rootAddr,
-// serving `workers` local slaves under the scheme. The root link uses
-// exec.DefaultTransport (the LOOPSCHED_TRANSPORT environment variable
-// or the binary codec); use NewSubmasterTransport to pick explicitly.
+// serving `workers` local slaves under the scheme.
 func NewSubmaster(shard int, scheme sched.Scheme, workers int, rootAddr string) (*Submaster, error) {
-	return NewSubmasterTransport(shard, scheme, workers, rootAddr, "")
-}
-
-// NewSubmasterTransport is NewSubmaster with an explicit root-link
-// transport (empty means exec.DefaultTransport). The worker-facing
-// listener always speaks both: Serve routes each connection by
-// sniffing its first byte, exactly like the flat master.
-func NewSubmasterTransport(shard int, scheme sched.Scheme, workers int, rootAddr string, transport exec.Transport) (*Submaster, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("hier: submaster needs at least one worker")
 	}
-	transport, ok := transport.Normalize()
-	if !ok {
-		return nil, fmt.Errorf("hier: unknown transport %q", transport)
+	conn, err := net.Dial("tcp", rootAddr)
+	if err != nil {
+		return nil, err
 	}
-	var root rootCaller
-	if transport == exec.TransportNetRPC {
-		client, err := rpc.Dial("tcp", rootAddr)
-		if err != nil {
-			return nil, err
-		}
-		root = netrpcRoot{client}
-	} else {
-		conn, err := net.Dial("tcp", rootAddr)
-		if err != nil {
-			return nil, err
-		}
-		wc, err := wire.NewClient(conn)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		root = &wireRoot{c: wc}
+	wc, err := wire.NewClient(conn)
+	if err != nil {
+		conn.Close()
+		return nil, err
 	}
 	s := &Submaster{
 		shard:   shard,
 		workers: workers,
 		scheme:  scheme,
 		dist:    sched.Distributed(scheme),
-		root:    root,
+		root:    &rootLink{c: wc},
 		liveACP: make([]int, workers),
 		seen:    make([]bool, workers),
 		done:    make(chan struct{}),
@@ -253,15 +218,9 @@ func (s *Submaster) telemetryID(local int) int {
 	return local
 }
 
-// Serve registers the submaster under the flat master's service name
-// and accepts worker connections until the listener closes. Like the
-// flat master it sniffs each connection's first byte, so gob and
-// binary workers coexist on one listener.
+// Serve accepts worker connections until the listener closes, running
+// the same framed chunk service as the flat master on each.
 func (s *Submaster) Serve(l net.Listener) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", s); err != nil {
-		return err
-	}
 	s.serveWG.Add(1)
 	go func() {
 		defer s.serveWG.Done()
@@ -277,45 +236,45 @@ func (s *Submaster) Serve(l net.Listener) error {
 			s.serveWG.Add(1)
 			go func() {
 				defer s.serveWG.Done()
-				exec.ServeSniffed(srv, conn, bus, s.shard, s.nextBatch, s.fetchAddFunc())
+				exec.ServeConn(conn, bus, s.shard, s.nextBatch, s.fetchAddFunc())
 			}()
 		}
 	}()
 	return nil
 }
 
-// nextBatch adapts the submaster to the batched wire service: the
-// first grant carries NextChunk's full semantics (parking a drained
-// worker, stop on completion), and the remaining credits are filled
-// best-effort from the already planned local stage — top-ups use the
-// prefetch form, which never blocks and keeps the root pipeline
-// primed, so a batched worker cannot deadlock the shard.
+// nextBatch is the submaster's batched wire service: the first grant
+// carries next's full semantics (parking a drained worker, stop on
+// completion), and the remaining credits are filled best-effort from
+// the already planned local stage — top-ups use the prefetch form,
+// which never blocks and keeps the root pipeline primed, so a batched
+// worker cannot deadlock the shard.
 func (s *Submaster) nextBatch(args exec.ChunkArgs, credits int, rep *wire.Reply) error {
-	var first exec.ChunkReply
-	if err := s.NextChunk(args, &first); err != nil {
+	first, err := s.next(args)
+	if err != nil {
 		return err
 	}
-	if first.Stop {
+	if first.stop {
 		rep.Stop = true
 		return nil
 	}
-	if first.Assign.Size == 0 {
+	if first.assign.Size == 0 {
 		return nil // empty prefetch answer: ask again plainly
 	}
-	rep.Grants = append(rep.Grants, first.Assign)
+	rep.Grants = append(rep.Grants, first.assign)
 	topup := exec.ChunkArgs{Worker: args.Worker, ACP: args.ACP, Prefetch: true}
 	for len(rep.Grants) < credits {
-		var r exec.ChunkReply
-		if err := s.NextChunk(topup, &r); err != nil {
+		g, err := s.next(topup)
+		if err != nil {
 			return err
 		}
-		if r.Assign.Size == 0 {
+		if g.assign.Size == 0 {
 			break
 		}
-		rep.Grants = append(rep.Grants, r.Assign)
+		rep.Grants = append(rep.Grants, g.assign)
 	}
 	// Span-tag the batch when telemetry is attached, mirroring the ids
-	// NextChunk stamped on the grant events, so the worker's completion
+	// next stamped on the grant events, so the worker's completion
 	// closes the same flow. A bus-less shard sends v1-identical frames.
 	s.mu.Lock()
 	tagged := s.bus != nil
@@ -335,11 +294,11 @@ func (s *Submaster) nextBatch(args exec.ChunkArgs, credits int, rep *wire.Reply)
 // goroutines. Close the listener first so the accept loop can exit.
 func (s *Submaster) Close() error {
 	s.bg.Wait()
-	err := s.root.Close()
+	err := s.root.c.Close()
 	s.mu.Lock()
 	if !s.rootDone && s.rootErr == nil {
-		// Wake any NextChunk handler still parked on the pipeline so its
-		// ServeConn loop can unwind before we join serveWG.
+		// Wake any request handler still parked on the pipeline so its
+		// connection loop can unwind before we join serveWG.
 		s.rootErr = fmt.Errorf("hier: submaster closed")
 	}
 	s.cond.Broadcast()
@@ -384,9 +343,10 @@ func (s *Submaster) aggregateACP() int {
 	return total
 }
 
-// NextChunk is the worker-facing RPC, protocol-compatible with
-// exec.Master.NextChunk.
-func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error {
+// next is the submaster's one-grant core behind nextBatch: deposit
+// the worker's results, then grant one local chunk, park a drained
+// worker until the root answers, or send it home.
+func (s *Submaster) next(args exec.ChunkArgs) (grant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if args.Worker < 0 || args.Worker >= s.workers {
@@ -394,7 +354,7 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 			Kind: telemetry.WorkerRejected, Worker: args.Worker,
 			Shard: s.shard, At: s.bus.Now(),
 		})
-		return fmt.Errorf("hier: unknown worker %d", args.Worker)
+		return grant{}, fmt.Errorf("hier: unknown worker %d", args.Worker)
 	}
 	reqAt := s.bus.Now()
 
@@ -425,13 +385,12 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 
 	for {
 		if s.rootErr != nil {
-			return s.rootErr
+			return grant{}, s.rootErr
 		}
 		if a, ok := s.takeLocked(sched.Request{Worker: args.Worker, ACP: float64(args.ACP)}); ok {
 			s.chunks++
 			s.iters += a.Size
 			s.outstanding += a.Size
-			reply.Assign = a
 			kind := telemetry.ChunkGranted
 			if args.Prefetch {
 				kind = telemetry.ChunkPrefetched
@@ -445,11 +404,11 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 					At: now, Seconds: now - reqAt,
 				})
 			}
-			return nil
+			return grant{assign: a}, nil
 		}
 		if len(s.buffered) > 0 {
 			if err := s.planLocked(); err != nil {
-				return err
+				return grant{}, err
 			}
 			continue
 		}
@@ -459,15 +418,14 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 					Kind: telemetry.PrefetchMissed, Worker: s.telemetryID(args.Worker),
 					Shard: s.shard, At: reqAt,
 				})
-				return nil // empty: finish your chunk, ask again plainly
+				return grant{}, nil // empty: finish your chunk, ask again plainly
 			}
-			reply.Stop = true
 			s.stopped++
 			if s.stopped >= s.workers {
 				s.finishedAt = time.Now()
 				close(s.done)
 			}
-			return nil
+			return grant{stop: true}, nil
 		}
 		if args.Prefetch {
 			// Can't give the pipelined worker anything yet; keep a root
@@ -477,14 +435,14 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 				Kind: telemetry.PrefetchMissed, Worker: s.telemetryID(args.Worker),
 				Shard: s.shard, At: reqAt,
 			})
-			return nil
+			return grant{}, nil
 		}
 		// Plain request with nothing local. Fetch from the root once the
 		// shard is quiescent (gather done, no undelivered results, no
 		// fetch already in flight); otherwise wait for state to change.
 		if !s.fetching && s.gathered == s.workers && s.outstanding == 0 {
 			if err := s.blockingFetchLocked(); err != nil {
-				return err
+				return grant{}, err
 			}
 			continue
 		}
@@ -580,8 +538,7 @@ func (s *Submaster) launchPrefetchLocked() {
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		var reply exec.ChunkReply
-		err := s.root.Call(args, &reply)
+		g, err := s.root.call(args)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.fetching = false
@@ -590,7 +547,7 @@ func (s *Submaster) launchPrefetchLocked() {
 			// root got them, the run cannot continue safely.
 			s.rootErr = err
 		} else {
-			s.absorbReplyLocked(reply)
+			s.absorbReplyLocked(g)
 		}
 		s.cond.Broadcast()
 	}()
@@ -604,8 +561,7 @@ func (s *Submaster) blockingFetchLocked() error {
 	s.fetching = true
 	args := s.takeFetchArgs(false)
 	s.mu.Unlock()
-	var reply exec.ChunkReply
-	err := s.root.Call(args, &reply)
+	g, err := s.root.call(args)
 	s.mu.Lock()
 	s.fetching = false
 	if err != nil {
@@ -613,17 +569,17 @@ func (s *Submaster) blockingFetchLocked() error {
 		s.cond.Broadcast()
 		return err
 	}
-	s.absorbReplyLocked(reply)
+	s.absorbReplyLocked(g)
 	s.cond.Broadcast()
 	return nil
 }
 
 // absorbReplyLocked files a root reply; callers hold mu.
-func (s *Submaster) absorbReplyLocked(reply exec.ChunkReply) {
+func (s *Submaster) absorbReplyLocked(g grant) {
 	switch {
-	case reply.Stop:
+	case g.stop:
 		s.rootDone = true
-	case reply.Assign.Size > 0:
-		s.buffered = append(s.buffered, reply.Assign)
+	case g.assign.Size > 0:
+		s.buffered = append(s.buffered, g.assign)
 	}
 }

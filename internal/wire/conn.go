@@ -30,8 +30,7 @@ type Conn struct {
 }
 
 // NewClient wraps a client-side connection: it writes the protocol
-// preamble so a sniffing server can route the stream, and returns the
-// framed Conn.
+// preamble the server checks, and returns the framed Conn.
 func NewClient(rwc io.ReadWriteCloser) (*Conn, error) {
 	c := newConn(rwc, nil)
 	if _, err := c.bw.Write(preamble[:]); err != nil {
@@ -41,9 +40,9 @@ func NewClient(rwc io.ReadWriteCloser) (*Conn, error) {
 }
 
 // NewServer wraps a server-side connection whose 4-byte preamble has
-// already been consumed by the listener's protocol sniffer. br, if
-// non-nil, is the buffered reader the sniffer used (it may hold
-// already-buffered frame bytes).
+// already been consumed (ConsumePreamble). br, if non-nil, is the
+// buffered reader that read it (it may hold already-buffered frame
+// bytes).
 func NewServer(rwc io.ReadWriteCloser, br *bufio.Reader) *Conn {
 	return newConn(rwc, br)
 }
@@ -55,8 +54,7 @@ func newConn(rwc io.ReadWriteCloser, br *bufio.Reader) *Conn {
 	return &Conn{rwc: rwc, br: br, bw: bufio.NewWriter(rwc)}
 }
 
-// ConsumePreamble reads and validates a client preamble whose Magic
-// byte has already been peeked (not consumed) on br.
+// ConsumePreamble reads and validates a client preamble from br.
 func ConsumePreamble(br *bufio.Reader) error {
 	var p [4]byte
 	if _, err := io.ReadFull(br, p[:]); err != nil {

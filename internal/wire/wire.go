@@ -1,7 +1,7 @@
 // Package wire implements the binary wire protocol of the chunk
 // runtimes: a length-prefixed, varint-headed framing codec for the
-// master–slave self-scheduling dialogue that replaces net/rpc's
-// reflective gob encoding on the hot path.
+// master–slave self-scheduling dialogue: no reflection, batched
+// grants, and one-sided ledger claims.
 //
 // Design constraints, in order:
 //
@@ -50,15 +50,12 @@
 //
 // Span blocks are optional trailing fields: a frame without the span
 // flag is byte-identical to protocol v1, so span-aware and span-less
-// peers interoperate on the same sniffed listener, and the gob
-// fallback is unaffected. A span flag with a zero item count is
+// peers interoperate on the same listener. A span flag with a zero item count is
 // rejected as non-canonical (the encoder never produces it), which
 // keeps decode→re-encode byte-stable.
 //
 // A connection opens with a 4-byte preamble (Magic 'L' 'S' Version)
-// written by the client, which lets a server share one listener
-// between this protocol and net/rpc by sniffing the first byte: gob's
-// self-describing streams never start with Magic.
+// written by the client; a server drops any stream that does not.
 package wire
 
 import (
@@ -72,10 +69,8 @@ import (
 )
 
 const (
-	// Magic is the first byte of the connection preamble. It is
-	// deliberately outside the range a gob stream can start with (gob
-	// messages open with a small positive byte count), so a listener
-	// can sniff one byte to tell the two protocols apart.
+	// Magic is the first byte of the connection preamble, so a
+	// server can tell a loopsched client from a stray stream at once.
 	Magic = 0xA7
 
 	// Version is the protocol revision carried in the preamble's

@@ -26,7 +26,7 @@ func (p pipeEnd) Write(b []byte) (int, error) { return p.w.Write(b) }
 func (p pipeEnd) Close() error                { return nil }
 
 // connPair builds a client and server Conn joined back to back. The
-// client's preamble is consumed the way the listener sniffer would.
+// client's preamble is consumed the way the server's listener does.
 func connPair(t *testing.T) (*Conn, *Conn) {
 	t.Helper()
 	var c2s, s2c bytes.Buffer

@@ -79,13 +79,49 @@ func stepDeterministicSchemes(t *testing.T) []loopsched.Scheme {
 	return out
 }
 
+// policyReplaySeq is the reference partition: the scheme's own
+// Policy.Next called until it drains, sorted by start. It touches no
+// ledger table, so it witnesses the table the runtimes grant from
+// instead of sharing its bugs.
+func policyReplaySeq(t *testing.T, s loopsched.Scheme, n, workers int) []chunkPair {
+	t.Helper()
+	pol, err := s.NewPolicy(sched.Config{Iterations: n, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq []chunkPair
+	for k := 0; ; k++ {
+		a, ok := pol.Next(sched.Request{Worker: k % workers})
+		if !ok {
+			break
+		}
+		seq = append(seq, chunkPair{a.Start, a.Size})
+	}
+	sort.Slice(seq, func(i, j int) bool { return seq[i].Start < seq[j].Start })
+	return seq
+}
+
+// sameChunks fails the test unless got equals the reference partition.
+func sameChunks(t *testing.T, label string, got, want []chunkPair) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s produced %d chunks, Policy.Next replay %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s chunk %d diverged: got %+v, replay %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
 // TestLedgerTransportEquivalence is the ledger's correctness property:
 // for every step-deterministic scheme, on every backend that supports
-// the ledger, a run with the ledger on must produce byte-identical
-// chunk boundaries to the same run with the ledger off. Workers
-// computing their own chunks from a replicated table must be
-// indistinguishable — in the partition of the iteration space — from
-// the master handing the chunks out one round trip at a time.
+// the ledger, a run with the ledger off and a run with the ledger on
+// must both produce chunk boundaries byte-identical to a straight
+// Policy.Next replay of the scheme. Workers computing their own chunks
+// from a replicated table must be indistinguishable — in the partition
+// of the iteration space — from the master handing the chunks out one
+// round trip at a time, and both from the policy itself.
 func TestLedgerTransportEquivalence(t *testing.T) {
 	const n = 3000
 	w := loopsched.Uniform{N: n, C: 1}
@@ -111,14 +147,13 @@ func TestLedgerTransportEquivalence(t *testing.T) {
 				Ledger: ledger,
 			}
 		}},
-		// Over net/rpc the workers cannot hold table replicas, but the
-		// master's grants still come off the ledger counter — the
-		// boundaries must be unchanged.
-		{"rpc-netrpc", func(s loopsched.Scheme, ledger string) loopsched.RunSpec {
+		// Pipelined workers prefetch through the master path with the
+		// ledger off; with it on they claim one-sided like serial ones.
+		{"rpc-pipelined", func(s loopsched.Scheme, ledger string) loopsched.RunSpec {
 			return loopsched.RunSpec{
 				Scheme: s, Workload: w,
 				Backend: loopsched.BackendRPC, Workers: runWorkers(),
-				Kernel: kernel, Transport: "netrpc",
+				Kernel: kernel, Pipeline: true,
 				Ledger: ledger,
 			}
 		}},
@@ -131,6 +166,7 @@ func TestLedgerTransportEquivalence(t *testing.T) {
 				s := s
 				t.Run(s.Name(), func(t *testing.T) {
 					t.Parallel()
+					want := policyReplaySeq(t, s, n, len(runWorkers()))
 					master, offFetches := ledgerChunkSeq(t, b.spec(s, "off"))
 					replica, onFetches := ledgerChunkSeq(t, b.spec(s, "on"))
 					if offFetches != 0 {
@@ -139,14 +175,8 @@ func TestLedgerTransportEquivalence(t *testing.T) {
 					if onFetches == 0 {
 						t.Errorf("ledger-on run recorded no ledger fetches: the ledger never engaged")
 					}
-					if len(master) != len(replica) {
-						t.Fatalf("ledger produced %d chunks, master produced %d", len(replica), len(master))
-					}
-					for i := range master {
-						if master[i] != replica[i] {
-							t.Fatalf("chunk %d diverged: master %+v, ledger %+v", i, master[i], replica[i])
-						}
-					}
+					sameChunks(t, "ledger-off run", master, want)
+					sameChunks(t, "ledger-on run", replica, want)
 				})
 			}
 		})

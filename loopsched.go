@@ -15,7 +15,8 @@
 //     availability threshold);
 //   - Tree Scheduling (Kim & Purtilo) for comparison;
 //   - real executors: an in-process goroutine master–worker and a TCP
-//     net/rpc master–worker with piggy-backed results;
+//     master–worker speaking a binary framing protocol with
+//     piggy-backed results;
 //   - a deterministic discrete-event simulator of a heterogeneous
 //     master–slave cluster (powers, link speeds, run-queue dynamics)
 //     for reproducible scheduling experiments;
@@ -386,20 +387,15 @@ type (
 	LocalExecutor = exec.Local
 	// WorkerSpec emulates one heterogeneous worker in-process.
 	WorkerSpec = exec.WorkerSpec
-	// Master is the net/rpc scheduling service.
+	// Master is the TCP scheduling service.
 	Master = exec.Master
-	// Worker is a net/rpc slave.
+	// Worker is a TCP slave.
 	Worker = exec.Worker
 	// Kernel computes one iteration and serialises its result.
 	Kernel = exec.Kernel
-	// ChunkArgs/ChunkReply/ChunkResult are the RPC wire types.
+	// ChunkArgs/ChunkResult are the RPC request and result types.
 	ChunkArgs   = exec.ChunkArgs
-	ChunkReply  = exec.ChunkReply
 	ChunkResult = exec.ChunkResult
-	// RPCTransport selects a worker's wire format: "binary" (the
-	// framing codec of internal/wire) or "netrpc" (net/rpc + gob).
-	// Masters serve both at once by sniffing each connection.
-	RPCTransport = exec.Transport
 )
 
 // Local engine names for RunSpec.LocalEngine / LocalExecutor.Engine.

@@ -20,7 +20,7 @@ import (
 // Run executes one self-scheduled loop on a chosen backend. It is the
 // recommended entry point: the same RunSpec — scheme, workload, and a
 // description of the machines — runs unchanged on the discrete-event
-// simulator, the in-process goroutine executor, the net/rpc runtime
+// simulator, the in-process goroutine executor, the TCP runtime
 // (self-hosted on loopback), or the message-passing substrate, flat or
 // hierarchical, and always honours context cancellation.
 
@@ -32,8 +32,8 @@ const (
 	BackendSim Backend = "sim"
 	// BackendLocal runs goroutine workers driven by a channel master.
 	BackendLocal Backend = "local"
-	// BackendRPC self-hosts the net/rpc master and workers on loopback
-	// TCP — the full wire protocol without external processes.
+	// BackendRPC self-hosts the TCP master and workers on loopback —
+	// the full wire protocol without external processes.
 	BackendRPC Backend = "rpc"
 	// BackendMP runs the MPI-style master/slave program on an
 	// in-process message-passing world.
@@ -91,23 +91,23 @@ type RunSpec struct {
 	ACP ACPModel
 	// Pipeline enables the double-buffered RPC worker protocol.
 	Pipeline bool
-	// Transport selects the RPC wire format: "binary" (the framing
-	// codec of internal/wire, the default) or "netrpc" (net/rpc +
-	// gob). Empty consults the LOOPSCHED_TRANSPORT environment
-	// variable and falls back to binary. The master side needs no
-	// configuration — it serves both on one listener.
+	// Transport names the RPC wire format. Only "binary" (the framing
+	// codec of internal/wire) exists; "" means the same.
+	//
+	// Deprecated: the rpc backend has one wire format, so there is
+	// nothing to select. Leave it empty.
 	Transport string
-	// CreditWindow is the batched-grant depth on the binary
-	// transport: how many chunks a worker may hold beyond the one it
-	// is computing (0 means 1, the classic double buffer). Larger
-	// windows amortise master round trips over several chunks at the
-	// cost of coarser tail balancing.
+	// CreditWindow is the batched-grant depth on the rpc backend: how
+	// many chunks a worker may hold beyond the one it is computing (0
+	// means 1, the classic double buffer). Larger windows amortise
+	// master round trips over several chunks at the cost of coarser
+	// tail balancing.
 	CreditWindow int
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and
-	// compute chunk boundaries from a replicated table (rpc backend,
-	// binary transport), turns steal-engine refills into lock-free
-	// claims (local backend, steal engine), and gives each rpc
+	// compute chunk boundaries from a replicated table (rpc backend),
+	// turns steal-engine refills into lock-free claims (local backend,
+	// steal engine), and gives each rpc
 	// submaster a stage-local ledger (hierarchies). Empty consults the
 	// LOOPSCHED_LEDGER environment variable and falls back to "off".
 	// The mode is advisory: schemes that are not step-deterministic
@@ -267,8 +267,8 @@ func (s RunSpec) validate() error {
 		if len(s.Workers) == 0 {
 			return fmt.Errorf("loopsched: rpc backend needs Workers")
 		}
-		if _, ok := exec.Transport(s.Transport).Normalize(); !ok {
-			return fmt.Errorf("loopsched: unknown transport %q", s.Transport)
+		if s.Transport != "" && s.Transport != "binary" {
+			return fmt.Errorf("loopsched: unknown transport %q (the gob/net-rpc transport was removed; only \"binary\" remains)", s.Transport)
 		}
 	case BackendMP:
 		if s.Hierarchy != nil {
@@ -384,7 +384,7 @@ func (localExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 	return l.RunContext(ctx, spec.Workload, body)
 }
 
-// ---- net/rpc backend (self-hosted on loopback) ----
+// ---- rpc backend (self-hosted on loopback) ----
 
 type rpcExecutor struct{}
 
@@ -414,7 +414,6 @@ func rpcWorker(spec RunSpec, kernel Kernel, powers []float64, i int) exec.Worker
 		ACPModel:     spec.ACP,
 		WorkScale:    ws.WorkScale,
 		Pipeline:     spec.Pipeline,
-		Transport:    exec.Transport(spec.Transport),
 		Window:       spec.CreditWindow,
 		Telemetry:    spec.Telemetry.Bus(),
 		TelemetryID:  i,
@@ -450,9 +449,9 @@ func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error
 	for i := range spec.Workers {
 		w := rpcWorker(spec, kernel, powers, i)
 		// When the master armed its ledger, hand every worker a table
-		// replica: binary-transport workers switch to one-sided claims,
-		// gob workers ignore it and keep the master path — which draws
-		// from the same step counter, so a mixed fleet stays exact.
+		// replica so it switches to one-sided claims; the master path
+		// draws from the same step counter, so requeued chunks and
+		// one-sided claims never overlap.
 		w.LedgerTable = master.Ledger()
 		wg.Add(1)
 		go func(w exec.Worker) {
@@ -521,8 +520,7 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 	workerCtx, workerCancel := context.WithCancel(context.Background())
 	defer workerCancel()
 	for si := range members {
-		sub, err := hier.NewSubmasterTransport(si, spec.Scheme, len(members[si]),
-			rootL.Addr().String(), exec.Transport(spec.Transport))
+		sub, err := hier.NewSubmaster(si, spec.Scheme, len(members[si]), rootL.Addr().String())
 		if err != nil {
 			root.Cancel(err)
 			break

@@ -307,7 +307,15 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 				Scheme: scheme, Workload: w, Backend: loopsched.BackendRPC,
 				Workers: runWorkers(), Body: noop, Transport: "carrier-pigeon",
 			},
-			wantErr: `loopsched: unknown transport "carrier-pigeon"`,
+			wantErr: `loopsched: unknown transport "carrier-pigeon" (the gob/net-rpc transport was removed; only "binary" remains)`,
+		},
+		{
+			name: "rpc removed netrpc transport",
+			spec: loopsched.RunSpec{
+				Scheme: scheme, Workload: w, Backend: loopsched.BackendRPC,
+				Workers: runWorkers(), Body: noop, Transport: "netrpc",
+			},
+			wantErr: `loopsched: unknown transport "netrpc" (the gob/net-rpc transport was removed; only "binary" remains)`,
 		},
 		{
 			name:    "mp without workers",
