@@ -87,14 +87,14 @@ bench:
 
 # bench-json runs the protocol benchmark matrices and writes both the
 # raw benchstat-compatible text and the parsed JSON artifacts that CI
-# archives: the wire protocol (gob vs binary × credit window,
-# docs/PROTOCOL.md → BENCH_wire.json), the local engines (channel
-# master vs work-stealing deques × worker count, docs/LOCAL.md →
-# BENCH_local.json), the multi-tenant scheduler daemon (job
-# streams × fleet/tenant mix, docs/SERVICE.md → BENCH_service.json
-# with jobs/s and chunks/s), and the scheduling-step ledger (in-process
-# fetch-add contention plus master-path vs one-sided loopback,
-# docs/LEDGER.md → BENCH_ledger.json).
+# archives: the wire protocol (binary codec × credit window,
+# docs/PROTOCOL.md → BENCH_wire.json), the local work-stealing engine
+# (× worker count, docs/LOCAL.md → BENCH_local.json), the multi-tenant
+# scheduler daemon (job streams × fleet/tenant mix, docs/SERVICE.md →
+# BENCH_service.json with jobs/s and chunks/s), and the
+# scheduling-step ledger (in-process fetch-add contention plus
+# master-path vs one-sided loopback, docs/LEDGER.md →
+# BENCH_ledger.json).
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench BenchmarkRPCPipeline -benchmem -count=1 . | tee bench_wire.txt

@@ -628,51 +628,48 @@ func BenchmarkMandelbrotColumn(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalEngine races the two local runtimes — the channel
-// master and the work-stealing deques — at growing worker counts on a
-// fixed-chunk scheme with an empty body, so the numbers are pure
-// scheduling overhead. The channel master serialises every grant
-// through one goroutine; the steal engine amortises the policy lock
-// over credit-window-sized refills and otherwise runs lock-free, so
-// the gap should widen with p. One benchmark op is one complete run
-// (n/K chunks); `make bench-json` publishes the table as
-// BENCH_local.json.
+// BenchmarkLocalEngine runs the local work-stealing engine at growing
+// worker counts on a fixed-chunk scheme with an empty body, so the
+// numbers are pure scheduling overhead: the policy lock is amortised
+// over window-sized refills and everything else is lock-free, so
+// chunks/s shows how the shared refill and the victim scans scale
+// with p. One benchmark op is one complete run (n/K chunks); the
+// sub-benchmarks keep their steal-p<N> names so BENCH_local.json rows
+// stay comparable across commits. `make bench-json` publishes the
+// table as BENCH_local.json.
 func BenchmarkLocalEngine(b *testing.B) {
 	const (
 		n = 1 << 17 // iterations per run
 		k = 4       // CSS chunk size: 32768 chunks per run
 	)
-	for _, engine := range []string{loopsched.EngineChannel, loopsched.EngineSteal} {
-		for _, p := range []int{8, 32, 128} {
-			b.Run(fmt.Sprintf("%s-p%d", engine, p), func(b *testing.B) {
-				workers := make([]*loopsched.WorkerSpec, p)
-				for i := range workers {
-					workers[i] = &loopsched.WorkerSpec{WorkScale: 1}
+	for _, p := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("steal-p%d", p), func(b *testing.B) {
+			workers := make([]*loopsched.WorkerSpec, p)
+			for i := range workers {
+				workers[i] = &loopsched.WorkerSpec{WorkScale: 1}
+			}
+			ex := &loopsched.LocalExecutor{
+				Scheme:  loopsched.NewCSS(k),
+				Workers: workers,
+			}
+			w := loopsched.Uniform{N: n}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := ex.Run(w, func(int) {})
+				if err != nil {
+					b.Fatal(err)
 				}
-				ex := &loopsched.LocalExecutor{
-					Scheme:  loopsched.NewCSS(k),
-					Workers: workers,
-					Engine:  engine,
+				if rep.Iterations != n {
+					b.Fatalf("ran %d of %d iterations", rep.Iterations, n)
 				}
-				w := loopsched.Uniform{N: n}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rep, err := ex.Run(w, func(int) {})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Iterations != n {
-						b.Fatalf("ran %d of %d iterations", rep.Iterations, n)
-					}
-				}
-				b.ReportMetric(float64(n/k)*float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(n/k)*float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
+		})
 	}
 }
 
-// BenchmarkLocalExecutor measures the goroutine master–worker loop on
-// a trivial body (scheduling overhead dominated).
+// BenchmarkLocalExecutor measures the goroutine worker loop on a
+// trivial body (scheduling overhead dominated).
 func BenchmarkLocalExecutor(b *testing.B) {
 	ex := &loopsched.LocalExecutor{
 		Scheme: loopsched.NewTFSS(),
@@ -759,7 +756,7 @@ func BenchmarkScheduler(b *testing.B) {
 //
 // The simulated matrix hammers the in-process half — one fetch-and-add
 // on the shared step counter plus a table lookup — from p concurrent
-// claimers, which is the whole per-chunk acquire cost the steal engine
+// claimers, which is the whole per-chunk acquire cost the local engine
 // and the master's ledger branch pay. The loopback matrix runs full
 // master/worker loops over TCP with the ledger off (the PR 5
 // credit-window grant path: every chunk is requested and granted in a

@@ -37,9 +37,8 @@ func main() {
 		maxIter      = flag.Int("maxiter", 160, "mandelbrot escape-time bound")
 		sf           = flag.Int("sf", 4, "sampling reorder frequency (1 = no reorder)")
 		real         = flag.Bool("real", false, "execute with real goroutine workers instead of the simulator")
-		localEngine  = flag.String("local-engine", "", "local runtime with -real: channel (default) or steal")
 		rpcReal      = flag.Bool("rpc", false, "execute with real RPC slaves self-hosted on loopback (overrides -real)")
-		window       = flag.Int("window", 0, "credit window: chunks a worker holds beyond the one computing (rpc), or the steal-engine refill batch (0 = default)")
+		window       = flag.Int("window", 0, "credit window: chunks a worker holds beyond the one computing (rpc), or the local refill batch (0 = default: 8 for step-deterministic schemes, 1 otherwise)")
 		ledgerMode   = flag.String("ledger", "", "scheduling-step ledger: on or off; eligible schemes claim chunks with one fetch-and-add instead of master round trips (default: $LOOPSCHED_LEDGER, else off)")
 		tree         = flag.Bool("tree", false, "use Tree Scheduling (ignores -scheme)")
 		gantt        = flag.Bool("gantt", false, "print an ASCII Gantt chart of the simulated run")
@@ -157,7 +156,6 @@ func main() {
 				spec.Backend = loopsched.BackendLocal
 				spec.Workers = realWorkers(*p)
 				spec.Body = burnBody(w)
-				spec.LocalEngine = *localEngine
 				spec.CreditWindow = *window
 				spec.Ledger = *ledgerMode
 				spec.Trace = tr

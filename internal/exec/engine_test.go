@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"loopsched/internal/acp"
 	"loopsched/internal/loadgen"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
@@ -25,7 +26,7 @@ func TestStealExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := make([]int32, n)
-		l := &Local{Scheme: s, Workers: specs(1, 1, 1, 1), Engine: EngineSteal}
+		l := &Local{Scheme: s, Workers: specs(1, 1, 1, 1)}
 		rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
@@ -52,7 +53,7 @@ func TestStealExactlyOnceWindows(t *testing.T) {
 		counts := make([]int32, n)
 		l := &Local{
 			Scheme: sched.GSSScheme{}, Workers: specs(1, 1, 1),
-			Engine: EngineSteal, Window: window,
+			Window: window,
 		}
 		rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
@@ -71,56 +72,65 @@ func TestStealExactlyOnceWindows(t *testing.T) {
 	}
 }
 
-// TestEngineGrantEquivalence: for non-feedback schemes on homogeneous
+// TestEngineGrantEquivalence: for non-feedback schemes on equal-ACP
 // workers, every policy's chunk sequence is a function of the call
-// index alone, so the channel master and the steal engine must grant
-// the same multiset of chunks even though request interleaving and
-// batching differ.
+// index alone, so the engine's grants — whatever the request
+// interleaving, batching and stealing — sorted by start must equal a
+// straight Policy.Next replay.
 func TestEngineGrantEquivalence(t *testing.T) {
 	const n, p = 5000, 4
+	equal := acp.Model{}.ACP(1, 1) // every scale-1 worker's report
 	for _, name := range sched.Names() {
 		s, err := sched.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pol, err := s.NewPolicy(sched.Config{Iterations: n, Workers: p}); err != nil {
+		cfg := sched.Config{Iterations: n, Workers: p}
+		if sched.Distributed(s) {
+			cfg.Powers = make([]float64, p)
+			for i := range cfg.Powers {
+				cfg.Powers[i] = float64(equal)
+			}
+		}
+		pol, err := s.NewPolicy(cfg)
+		if err != nil {
 			t.Fatal(err)
-		} else if _, fb := pol.(sched.FeedbackPolicy); fb {
+		}
+		if _, fb := pol.(sched.FeedbackPolicy); fb {
 			continue // learning policies depend on measured timings
 		}
-		grants := func(engine string) []sched.Assignment {
-			bus := telemetry.NewBus(0)
-			col := &grantCollector{}
-			bus.Subscribe(col)
-			scales := make([]int, p)
-			for i := range scales {
-				scales[i] = 1
+		var want []sched.Assignment
+		for k := 0; ; k++ {
+			a, ok := pol.Next(sched.Request{Worker: k % p, ACP: float64(equal)})
+			if !ok {
+				break
 			}
-			l := &Local{Scheme: s, Workers: specs(scales...), Engine: engine, Telemetry: bus}
-			rep, err := l.Run(workload.Uniform{N: n}, func(int) {})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, engine, err)
-			}
-			if rep.Iterations != n {
-				t.Fatalf("%s/%s: %d iterations", name, engine, rep.Iterations)
-			}
-			if err := bus.Close(); err != nil {
-				t.Fatalf("%s/%s: bus close: %v", name, engine, err)
-			}
-			sort.Slice(col.grants, func(i, j int) bool {
-				return col.grants[i].Start < col.grants[j].Start
-			})
-			return col.grants
+			want = append(want, a)
 		}
-		channel := grants(EngineChannel)
-		stealG := grants(EngineSteal)
-		if len(channel) != len(stealG) {
-			t.Errorf("%s: channel granted %d chunks, steal %d", name, len(channel), len(stealG))
+
+		bus := telemetry.NewBus(0)
+		col := &grantCollector{}
+		bus.Subscribe(col)
+		l := &Local{Scheme: s, Workers: specs(1, 1, 1, 1), Telemetry: bus}
+		rep, err := l.Run(workload.Uniform{N: n}, func(int) {})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Iterations != n {
+			t.Fatalf("%s: %d iterations", name, rep.Iterations)
+		}
+		if err := bus.Close(); err != nil {
+			t.Fatalf("%s: bus close: %v", name, err)
+		}
+		got := col.grants
+		sort.Slice(got, func(i, j int) bool { return got[i].Start < got[j].Start })
+		if len(got) != len(want) {
+			t.Errorf("%s: engine granted %d chunks, replay %d", name, len(got), len(want))
 			continue
 		}
-		for i := range channel {
-			if channel[i] != stealG[i] {
-				t.Errorf("%s: grant %d differs: channel %+v, steal %+v", name, i, channel[i], stealG[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: grant %d differs: engine %+v, replay %+v", name, i, got[i], want[i])
 				break
 			}
 		}
@@ -132,7 +142,7 @@ func TestEngineGrantEquivalence(t *testing.T) {
 func TestStealHeterogeneous(t *testing.T) {
 	const n = 500
 	perIter := make([]int32, n)
-	l := &Local{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3), Engine: EngineSteal}
+	l := &Local{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3)}
 	rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
 		atomic.AddInt32(&perIter[i], 1)
 	})
@@ -153,7 +163,7 @@ func TestStealHeterogeneous(t *testing.T) {
 // leaves the executor reusable.
 func TestStealCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	l := &Local{Scheme: sched.SelfScheduling, Workers: specs(1, 1), Engine: EngineSteal}
+	l := &Local{Scheme: sched.SelfScheduling, Workers: specs(1, 1)}
 	var n atomic.Int64
 	_, err := l.RunContext(ctx, workload.Uniform{N: 1 << 30}, func(i int) {
 		if n.Add(1) == 100 {
@@ -169,15 +179,8 @@ func TestStealCancellation(t *testing.T) {
 	}
 }
 
-func TestUnknownEngine(t *testing.T) {
-	l := &Local{Scheme: sched.GSSScheme{}, Workers: specs(1), Engine: "fibers"}
-	if _, err := l.Run(workload.Uniform{N: 10}, func(int) {}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-}
-
 func TestStealEmptyLoop(t *testing.T) {
-	l := &Local{Scheme: sched.TSSScheme{}, Workers: specs(1, 1), Engine: EngineSteal}
+	l := &Local{Scheme: sched.TSSScheme{}, Workers: specs(1, 1)}
 	rep, err := l.Run(workload.Uniform{N: 0}, func(int) {
 		t.Error("body ran on empty loop")
 	})
@@ -189,7 +192,7 @@ func TestStealEmptyLoop(t *testing.T) {
 	}
 }
 
-// TestStealTelemetry: the steal engine's refill/steal events reconcile
+// TestStealTelemetry: the local engine's refill/steal events reconcile
 // with the aggregator and the report.
 func TestStealTelemetry(t *testing.T) {
 	const n = 20000
@@ -198,7 +201,7 @@ func TestStealTelemetry(t *testing.T) {
 	bus.Subscribe(agg)
 	l := &Local{
 		Scheme: sched.CSSScheme{K: 8}, Workers: specs(1, 1, 1, 1),
-		Engine: EngineSteal, Telemetry: bus,
+		Telemetry: bus,
 	}
 	rep, err := l.Run(workload.Uniform{N: n}, func(int) {})
 	if err != nil {
@@ -253,34 +256,29 @@ func (p *recordingPolicy) Feedback(worker int, work, elapsed float64) {
 // event, the Comp metric and the trace span must all be the one
 // reading.
 func TestFeedbackElapsedMatchesComp(t *testing.T) {
-	for _, engine := range []string{EngineChannel, EngineSteal} {
-		var fed []float64
-		tr := &trace.Trace{}
-		sink := 0.0
-		l := &Local{
-			Scheme: recordingScheme{fed: &fed}, Workers: specs(1),
-			Engine: engine, Trace: tr,
-		}
-		rep, err := l.Run(workload.Uniform{N: 5000}, func(i int) {
-			sink += math.Sqrt(float64(i))
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		_ = sink
-		if len(fed) != 1 {
-			t.Fatalf("%s: Feedback called %d times, want 1", engine, len(fed))
-		}
-		if comp := rep.PerWorker[0].Comp; fed[0] != comp {
-			t.Errorf("%s: Feedback elapsed %.12g != Comp %.12g (readings drifted)", engine, fed[0], comp)
-		}
-		evs := tr.Events()
-		if len(evs) != 1 {
-			t.Fatalf("%s: %d trace events, want 1", engine, len(evs))
-		}
-		if span := evs[0].End - evs[0].Begin; math.Abs(span-fed[0]) > 1e-9 {
-			t.Errorf("%s: trace span %.12g != fed elapsed %.12g", engine, span, fed[0])
-		}
+	var fed []float64
+	tr := &trace.Trace{}
+	sink := 0.0
+	l := &Local{Scheme: recordingScheme{fed: &fed}, Workers: specs(1), Trace: tr}
+	rep, err := l.Run(workload.Uniform{N: 5000}, func(i int) {
+		sink += math.Sqrt(float64(i))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = sink
+	if len(fed) != 1 {
+		t.Fatalf("Feedback called %d times, want 1", len(fed))
+	}
+	if comp := rep.PerWorker[0].Comp; fed[0] != comp {
+		t.Errorf("Feedback elapsed %.12g != Comp %.12g (readings drifted)", fed[0], comp)
+	}
+	evs := tr.Events()
+	if len(evs) != 1 {
+		t.Fatalf("%d trace events, want 1", len(evs))
+	}
+	if span := evs[0].End - evs[0].Begin; math.Abs(span-fed[0]) > 1e-9 {
+		t.Errorf("trace span %.12g != fed elapsed %.12g", span, fed[0])
 	}
 }
 

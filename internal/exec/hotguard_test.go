@@ -3,15 +3,17 @@ package exec
 import (
 	"sort"
 	"testing"
+	"unsafe"
 
 	"loopsched/internal/hotpath"
 	"loopsched/internal/sched"
+	"loopsched/internal/steal"
 	"loopsched/internal/workload"
 )
 
 // hotGuards is this package's alloc-guard table: one entry per
 // //lint:loopsched-hotpath function, checked against the annotations
-// by TestHotPathGuardTable. The single guard drives the steal engine's
+// by TestHotPathGuardTable. The single guard drives the local engine's
 // whole per-chunk cycle — pop, steal, refill, complete — because those
 // operations only occur interleaved.
 var hotGuards = map[string]func(t *testing.T){
@@ -79,5 +81,49 @@ func jobStateCycleGuard(t *testing.T) {
 		js.Complete(0, a, 1, 0)
 	}); avg > 0 {
 		t.Errorf("pop/steal/refill/complete cycle allocates %.1f objects per op, want 0", avg)
+	}
+}
+
+// TestLocalRunAllocs pins the per-Run set-up of the local engine: a
+// whole p = 2 CSS(4) Run, the shape of the css-local benchmark, with
+// telemetry off. The chunk cycle itself is allocation-free (guarded
+// above), so this counts the JobState, its deques and lanes, the
+// policy, the report and the worker goroutines.
+func TestLocalRunAllocs(t *testing.T) {
+	l := &Local{Scheme: sched.CSSScheme{K: 4}, Workers: specs(1, 1), Ledger: LedgerOff}
+	w := workload.Uniform{N: 1 << 12}
+	if avg := testing.AllocsPerRun(20, func() {
+		if _, err := l.Run(w, func(int) {}); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 26 {
+		t.Errorf("a p=2 CSS(4) local Run allocates %.1f objects, want <= 26", avg)
+	}
+}
+
+// TestJobStateLineAlignment: the padding in lane and in steal's
+// deques only keeps workers off each other's cache lines if the
+// allocations start on a line. A pointer-holding object over 512 bytes
+// gets an allocation header that shifts it by eight bytes, which is
+// why deques are not folded into lanes; this catches that or any
+// other layout change that misaligns them.
+func TestJobStateLineAlignment(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 8, 33} {
+		js, err := NewJobState(JobConfig{
+			Scheme:   sched.CSSScheme{K: 4},
+			Workload: workload.Uniform{N: 100},
+			Workers:  p,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off := uintptr(unsafe.Pointer(&js.lanes[0])) % steal.CacheLine; off != 0 {
+			t.Errorf("p=%d: lanes start %d bytes into a cache line", p, off)
+		}
+		for i, d := range js.deques {
+			if off := uintptr(unsafe.Pointer(d)) % steal.CacheLine; off != 0 {
+				t.Errorf("p=%d: deque %d starts %d bytes into a cache line", p, i, off)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"loopsched/internal/acp"
 	"loopsched/internal/ledger"
@@ -22,7 +23,10 @@ type JobConfig struct {
 	Workload workload.Workload
 	// Workers is the fleet size p: the job gets one deque per worker.
 	Workers int
-	// Window is the refill batch size (DefaultStealWindow when <= 0).
+	// Window is the refill batch size. <= 0 derives it from the
+	// scheme: DefaultStealWindow when sched.StepDeterministic, else 1,
+	// so a chunk an adaptive scheme sized for one worker's request is
+	// never parked where another worker can steal it.
 	Window int
 	// InitACP seeds the per-worker ACP figures distributed schemes
 	// plan with (the paper's step 1(a) gather). nil means every
@@ -53,12 +57,38 @@ type JobCounts struct {
 	Steals    int64 // chunks moved between workers
 }
 
-// JobState is the fleet-shareable core of the work-stealing engine:
-// one job's per-worker deques plus everything a master would keep
-// private — the scheme policy, live/plan ACP, grant accounting —
-// guarded by one amortised refill mutex. A single JobState backs a
-// whole stealRun; a scheduler keeps many JobStates alive at once on
-// one worker fleet, each worker holding one deque per job.
+// DefaultStealWindow is the refill batch size of step-deterministic
+// schemes when no window is set: one trip to the policy under the
+// refill lock yields up to this many chunks, one executed immediately
+// and the rest parked in the worker's deque for later pops or steals.
+// It mirrors the wire path's credit window: larger windows amortise
+// the lock but delay feedback and re-planning, which only see ACP at
+// refill time.
+const DefaultStealWindow = 8
+
+// lane holds the tallies only one worker writes: its deque counters
+// and its two latency histograms. Lanes hold no pointers, so a lanes
+// array carries no allocation header and starts on a cache line; the
+// pad ends each lane on one, so neighbouring workers never share a
+// line. (Deques stay separate objects: their ring pointer would give a
+// combined array a header that shifts every line by eight bytes.)
+type lane struct {
+	counters steal.AtomicCounters
+	wait     hist.Hist // request-to-grant latency
+	comp     hist.Hist // per-chunk compute latency
+	_        [40]byte
+}
+
+// This fails to compile unless a lane fills whole cache lines; adjust
+// the pad above if a field changes size.
+var _ [unsafe.Sizeof(lane{}) % steal.CacheLine]struct{} = [0]struct{}{}
+
+// JobState is the fleet-shareable core of the local engine: one job's
+// per-worker deques plus everything a master would keep private — the
+// scheme policy, live/plan ACP, grant accounting — guarded by one
+// amortised refill mutex. A single JobState backs a whole Local run; a
+// scheduler keeps many JobStates alive at once on one worker fleet,
+// each worker holding one deque per job.
 //
 // Termination is masterless: drained flips when the policy runs dry
 // (it can never un-dry — a re-plan covers only the remaining
@@ -69,18 +99,15 @@ type JobCounts struct {
 type JobState struct {
 	scheme        sched.Scheme
 	w             workload.Workload
-	dist          bool
 	p             int
+	dist          bool
 	disableReplan bool
 	bus           *telemetry.Bus
 	job, tenant   int
 
-	deques   []*steal.Deque
-	counters []steal.AtomicCounters
-	scratch  [][]sched.Assignment // per-worker refill buffers
-	compHist *hist.Sharded        // per-chunk compute latency
-
-	waitHist *hist.Sharded // request-to-grant latency (shard = worker)
+	deques []*steal.Deque // one per worker
+	lanes  []lane         // one per worker
+	window int            // chunks per refill
 
 	// Scheduling-step ledger (JobConfig.Ledger): when armed, Refill
 	// bypasses s.mu entirely — one fetch-and-add claims a window of
@@ -92,7 +119,7 @@ type JobState struct {
 	// drained while an earlier one is still booking valid steps, so
 	// granted is only final once claiming is back to zero.
 	ledgerTab    *ledger.Table
-	ledgerCtr    ledger.Local
+	ledgerCtr    *ledger.Local // allocated only when the ledger arms
 	ledgerChunks atomic.Int64
 	claiming     atomic.Int64
 
@@ -103,7 +130,7 @@ type JobState struct {
 
 	mu      sync.Mutex // guards everything below
 	policy  sched.Policy
-	liveACP []int
+	liveACP []int // distributed schemes only
 	planACP []int
 	base    int
 	chunks  int
@@ -115,7 +142,10 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 	p := cfg.Workers
 	window := cfg.Window
 	if window <= 0 {
-		window = DefaultStealWindow
+		window = 1
+		if sched.StepDeterministic(cfg.Scheme) {
+			window = DefaultStealWindow
+		}
 	}
 	s := &JobState{
 		scheme:        cfg.Scheme,
@@ -127,18 +157,15 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 		job:           cfg.Job,
 		tenant:        cfg.Tenant,
 		deques:        make([]*steal.Deque, p),
-		counters:      make([]steal.AtomicCounters, p),
-		scratch:       make([][]sched.Assignment, p),
-		compHist:      hist.NewSharded(p),
-		waitHist:      hist.NewSharded(p),
-		liveACP:       make([]int, p),
-		planACP:       make([]int, p),
+		lanes:         make([]lane, p),
+		window:        window,
 	}
-	for i := 0; i < p; i++ {
+	for i := range s.deques {
 		s.deques[i] = steal.NewDeque(window)
-		s.scratch[i] = make([]sched.Assignment, 0, window)
 	}
 	if s.dist {
+		acps := make([]int, 2*p)
+		s.liveACP, s.planACP = acps[:p:p], acps[p:]
 		for i := 0; i < p; i++ {
 			a := 1
 			if i < len(cfg.InitACP) {
@@ -161,6 +188,7 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 		// keeps the policy path, so "on" is always safe.
 		if tab, err := ledger.Build(cfg.Scheme, sched.Config{Iterations: cfg.Workload.Len(), Workers: p}); err == nil {
 			s.ledgerTab = tab
+			s.ledgerCtr = new(ledger.Local)
 		}
 	}
 	return s, nil
@@ -207,7 +235,7 @@ func (s *JobState) event(kind telemetry.Kind, worker int) telemetry.Event {
 func (s *JobState) Pop(worker int) (sched.Assignment, bool) {
 	a, ok := s.deques[worker].Pop()
 	if ok {
-		s.counters[worker].Pops.Add(1)
+		s.lanes[worker].counters.Pops.Add(1)
 	}
 	return a, ok
 }
@@ -217,7 +245,7 @@ func (s *JobState) Pop(worker int) (sched.Assignment, bool) {
 //
 //lint:loopsched-hotpath
 func (s *JobState) Steal(thief int) (sched.Assignment, bool) {
-	c := &s.counters[thief]
+	c := &s.lanes[thief].counters
 	for off := 1; off < s.p; off++ {
 		victim := (thief + off) % s.p
 		if a, ok := s.deques[victim].Steal(); ok {
@@ -234,12 +262,14 @@ func (s *JobState) Steal(thief int) (sched.Assignment, bool) {
 	return sched.Assignment{}, false
 }
 
-// Refill is the steal engine's stand-in for one master round-trip: it
+// Refill is the local engine's stand-in for one master round-trip: it
 // reports the worker's current ACP, applies any pending feedback,
 // re-plans on majority ACP change, and pulls up to a window of chunks
 // from the policy. The first chunk is returned for immediate
-// execution; the rest land in the worker's (empty — refill only runs
-// after its own pop failed, and thieves never add) deque for this job.
+// execution; the rest are staged straight into the worker's (empty —
+// refill only runs after its own pop failed, and thieves never add)
+// deque for this job and published to thieves once the refill lock is
+// released, so no thief steals a chunk while the lock is still held.
 // The int result is the number of iterations granted by this refill,
 // which a fair-share arbiter charges against the job's credit budget.
 func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.Assignment, int, bool) {
@@ -249,15 +279,9 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 	if s.ledgerTab != nil {
 		return s.refillLedger(worker, acpNow)
 	}
-	c := &s.counters[worker]
-	reqAt := s.bus.Now()
-	req := s.event(telemetry.ChunkRequested, worker)
-	req.ACP = acpNow
-	req.At = reqAt
-	s.bus.Publish(req)
-	batch := s.scratch[worker][:0]
-	window := cap(s.scratch[worker])
-	iters := 0
+	reqAt := s.request(worker, acpNow)
+	var first sched.Assignment
+	n, iters := 0, 0
 
 	s.mu.Lock()
 	if s.aborted.Load() {
@@ -268,7 +292,9 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 		s.mu.Unlock()
 		return sched.Assignment{}, 0, false
 	}
-	s.liveACP[worker] = acpNow
+	if s.dist {
+		s.liveACP[worker] = acpNow
+	}
 	if fb, ok := s.policy.(sched.FeedbackPolicy); ok && fbElapsed > 0 {
 		fb.Feedback(worker, fbWork, fbElapsed)
 	}
@@ -281,7 +307,7 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 			s.bus.Publish(e)
 		}
 	}
-	for len(batch) < window {
+	for n < s.window {
 		a, ok := s.policy.Next(sched.Request{Worker: worker, ACP: float64(acpNow)})
 		if !ok {
 			s.drained.Store(true)
@@ -289,32 +315,17 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 		}
 		s.base = a.End()
 		s.chunks++
-		s.granted.Add(int64(a.Size))
+		s.grant(worker, acpNow, reqAt, a)
 		iters += a.Size
-		now := s.bus.Now()
-		s.waitHist.Record(worker, now-reqAt)
-		e := s.event(telemetry.ChunkGranted, worker)
-		e.Start, e.Size, e.ACP = a.Start, a.Size, acpNow
-		e.Span = telemetry.SpanID(s.job, a.Start)
-		e.At, e.Seconds = now, now-reqAt
-		s.bus.Publish(e)
-		batch = append(batch, a)
+		if n == 0 {
+			first = a
+		} else {
+			s.deques[worker].Stage(n-1, a) // fits: deque empty, cap >= window
+		}
+		n++
 	}
 	s.mu.Unlock()
-
-	if len(batch) == 0 {
-		return sched.Assignment{}, 0, false
-	}
-	for _, a := range batch[1:] {
-		s.deques[worker].Push(a) // cannot fail: deque empty, cap >= window
-	}
-	c.Refills.Add(1)
-	c.RefillChunks.Add(int64(len(batch)))
-	e := s.event(telemetry.DequeRefilled, worker)
-	e.Start, e.Size, e.ACP = batch[0].Start, len(batch), acpNow
-	e.At = s.bus.Now()
-	s.bus.Publish(e)
-	return batch[0], iters, true
+	return s.refilled(worker, acpNow, first, n, iters)
 }
 
 // refillLedger is Refill on the scheduling-step ledger: one
@@ -329,24 +340,19 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 // refill racing Abort may grant one final window. Those grants still
 // publish their events, so telemetry reconciliation holds either way.
 func (s *JobState) refillLedger(worker, acpNow int) (sched.Assignment, int, bool) {
-	reqAt := s.bus.Now()
-	req := s.event(telemetry.ChunkRequested, worker)
-	req.ACP = acpNow
-	req.At = reqAt
-	s.bus.Publish(req)
-	batch := s.scratch[worker][:0]
-	window := cap(s.scratch[worker])
-	iters := 0
+	reqAt := s.request(worker, acpNow)
+	var first sched.Assignment
+	n, iters := 0, 0
 
 	s.claiming.Add(1)
-	step, _ := s.ledgerCtr.FetchAdd(window)
+	step, _ := s.ledgerCtr.FetchAdd(s.window)
 	claimAt := s.bus.Now()
 	fetch := s.event(telemetry.LedgerFetch, worker)
-	fetch.Start = window
+	fetch.Start = s.window
 	fetch.At, fetch.Seconds = claimAt, claimAt-reqAt
 	s.bus.Publish(fetch)
-	for i := 0; i < window; i++ {
-		a, ok := s.ledgerTab.Chunk(step + uint64(i))
+	for ; n < s.window; n++ {
+		a, ok := s.ledgerTab.Chunk(step + uint64(n))
 		if !ok {
 			// Steps past the table's end: the loop is fully claimed.
 			// Over-claimed steps are harmlessly wasted — the counter
@@ -355,32 +361,58 @@ func (s *JobState) refillLedger(worker, acpNow int) (sched.Assignment, int, bool
 			break
 		}
 		s.ledgerChunks.Add(1)
-		s.granted.Add(int64(a.Size))
+		s.grant(worker, acpNow, reqAt, a)
 		iters += a.Size
-		now := s.bus.Now()
-		s.waitHist.Record(worker, now-reqAt)
-		e := s.event(telemetry.ChunkGranted, worker)
-		e.Start, e.Size, e.ACP = a.Start, a.Size, acpNow
-		e.Span = telemetry.SpanID(s.job, a.Start)
-		e.At, e.Seconds = now, now-reqAt
-		s.bus.Publish(e)
-		batch = append(batch, a)
+		if n == 0 {
+			first = a
+		} else {
+			s.deques[worker].Stage(n-1, a) // fits: deque empty, cap >= window
+		}
 	}
 	s.claiming.Add(-1)
-	if len(batch) == 0 {
+	return s.refilled(worker, acpNow, first, n, iters)
+}
+
+// request publishes a refill's ChunkRequested event and returns its
+// instant, the start of every grant's wait.
+func (s *JobState) request(worker, acpNow int) float64 {
+	at := s.bus.Now()
+	e := s.event(telemetry.ChunkRequested, worker)
+	e.ACP = acpNow
+	e.At = at
+	s.bus.Publish(e)
+	return at
+}
+
+// grant books one granted chunk: the granted tally, the worker's wait
+// histogram and the ChunkGranted event.
+func (s *JobState) grant(worker, acpNow int, reqAt float64, a sched.Assignment) {
+	s.granted.Add(int64(a.Size))
+	now := s.bus.Now()
+	s.lanes[worker].wait.Record(now - reqAt)
+	e := s.event(telemetry.ChunkGranted, worker)
+	e.Start, e.Size, e.ACP = a.Start, a.Size, acpNow
+	e.Span = telemetry.SpanID(s.job, a.Start)
+	e.At, e.Seconds = now, now-reqAt
+	s.bus.Publish(e)
+}
+
+// refilled closes a refill that granted n chunks, first among them:
+// it publishes the n-1 staged chunks to thieves, tallies the refill
+// and publishes DequeRefilled.
+func (s *JobState) refilled(worker, acpNow int, first sched.Assignment, n, iters int) (sched.Assignment, int, bool) {
+	if n == 0 {
 		return sched.Assignment{}, 0, false
 	}
-	for _, a := range batch[1:] {
-		s.deques[worker].Push(a) // cannot fail: deque empty, cap >= window
-	}
-	c := &s.counters[worker]
+	s.deques[worker].Publish(n - 1)
+	c := &s.lanes[worker].counters
 	c.Refills.Add(1)
-	c.RefillChunks.Add(int64(len(batch)))
+	c.RefillChunks.Add(int64(n))
 	e := s.event(telemetry.DequeRefilled, worker)
-	e.Start, e.Size, e.ACP = batch[0].Start, len(batch), acpNow
+	e.Start, e.Size, e.ACP = first.Start, n, acpNow
 	e.At = s.bus.Now()
 	s.bus.Publish(e)
-	return batch[0], iters, true
+	return first, iters, true
 }
 
 // LedgerActive reports whether refills draw from the scheduling-step
@@ -411,7 +443,7 @@ func (s *JobState) Feedback(worker int, work, elapsed float64) {
 //lint:loopsched-hotpath
 func (s *JobState) Complete(worker int, a sched.Assignment, acpNow int, seconds float64) bool {
 	done := s.completed.Add(int64(a.Size))
-	s.compHist.Record(worker, seconds)
+	s.lanes[worker].comp.Record(seconds)
 	e := s.event(telemetry.ChunkCompleted, worker)
 	e.Start, e.Size, e.ACP = a.Start, a.Size, acpNow
 	e.Span = telemetry.SpanID(s.job, a.Start)
@@ -423,7 +455,11 @@ func (s *JobState) Complete(worker int, a sched.Assignment, acpNow int, seconds 
 // Latency snapshots the job's request-to-grant and per-chunk compute
 // latency histograms.
 func (s *JobState) Latency() (wait, comp hist.Snapshot) {
-	return s.waitHist.Snapshot(), s.compHist.Snapshot()
+	for i := range s.lanes {
+		wait.Merge(s.lanes[i].wait.Snapshot())
+		comp.Merge(s.lanes[i].comp.Snapshot())
+	}
+	return wait, comp
 }
 
 // Abort stops the job: no further refills will grant work. Chunks
@@ -462,8 +498,8 @@ func (s *JobState) Counts() JobCounts {
 		Granted:   s.granted.Load(),
 		Completed: s.completed.Load(),
 	}
-	for i := range s.counters {
-		c.Steals += s.counters[i].Steals.Load()
+	for i := range s.lanes {
+		c.Steals += s.lanes[i].counters.Steals.Load()
 	}
 	return c
 }
@@ -471,4 +507,4 @@ func (s *JobState) Counts() JobCounts {
 // WorkerCounters snapshots worker i's deque counters for this job.
 // Safe to call while the job is running: the live tally is atomic, so
 // a scheduler polling a job mid-flight reads torn-free counts.
-func (s *JobState) WorkerCounters(i int) steal.Counters { return s.counters[i].Snapshot() }
+func (s *JobState) WorkerCounters(i int) steal.Counters { return s.lanes[i].counters.Snapshot() }

@@ -1,7 +1,8 @@
 // Package exec runs parallel loops for real — not simulated — under
-// any self-scheduling scheme: Local drives goroutine workers through
-// an in-process master (the shared-memory analogue of the paper's MPI
-// program), and Master/Worker in rpc.go speak the binary framing codec
+// any self-scheduling scheme: Local drives goroutine workers over one
+// shared JobState (the shared-memory analogue of the paper's MPI
+// program, with the master's grant loop run by whichever worker needs
+// work), and Master/Worker in rpc.go speak the binary framing codec
 // of internal/wire over TCP, standing in for the paper's mpich
 // master–slave processes.
 package exec
@@ -9,6 +10,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +19,6 @@ import (
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
-	"loopsched/internal/telemetry/hist"
 	"loopsched/internal/trace"
 	"loopsched/internal/workload"
 )
@@ -62,11 +63,13 @@ func (w *WorkerSpec) scale() int {
 	return w.WorkScale
 }
 
-// Local executes a loop with one goroutine per worker and a
-// channel-based master, faithfully implementing the paper's protocol:
-// idle workers request work (attaching their ACP), the master answers
-// with an iteration range from the scheme's policy and re-plans when a
-// majority of ACPs changed.
+// Local executes a loop with one goroutine per worker over one
+// JobState. Idle workers do what the paper's request/grant protocol
+// asks of a master, themselves: pop their own deque, steal from the
+// others, and only when the whole system looks empty report their ACP
+// and pull a window of chunks from the scheme's policy under the
+// job's refill lock, re-planning when a majority of ACPs changed (see
+// docs/LOCAL.md).
 type Local struct {
 	Scheme  sched.Scheme
 	Workers []*WorkerSpec
@@ -78,44 +81,20 @@ type Local struct {
 	// wall-clock timestamps relative to Run's start.
 	Trace *trace.Trace
 	// Telemetry, when non-nil, receives live protocol events
-	// (requests, grants, completions, replans). Independent of Trace.
+	// (requests, grants, completions, steals, refills, replans).
+	// Independent of Trace.
 	Telemetry *telemetry.Bus
-	// Engine selects the in-process runtime: EngineChannel (the
-	// default, also chosen by "") drives one master goroutine over an
-	// unbuffered channel exactly as the paper's protocol reads;
-	// EngineSteal runs per-worker Chase–Lev deques with batched policy
-	// refills (see internal/steal and docs/LOCAL.md).
-	Engine string
-	// Window caps how many chunks one steal-engine refill pulls from
-	// the policy in a single trip under the refill lock (<=0 means
-	// DefaultStealWindow). Ignored by the channel engine.
+	// Window caps how many chunks one refill pulls from the policy in
+	// a single trip under the refill lock. <= 0 derives it from the
+	// scheme (JobConfig.Window): DefaultStealWindow for
+	// step-deterministic schemes, 1 for adaptive ones.
 	Window int
-	// Ledger requests the scheduling-step ledger for steal-engine
-	// refills: one fetch-and-add claims the whole window, no refill
-	// mutex. Empty uses DefaultLedger (the LOOPSCHED_LEDGER environment
-	// variable); schemes that are not step-deterministic silently keep
-	// the policy path. Ignored by the channel engine.
+	// Ledger requests the scheduling-step ledger for refills: one
+	// fetch-and-add claims the whole window, no refill mutex. Empty
+	// uses DefaultLedger (the LOOPSCHED_LEDGER environment variable);
+	// schemes that are not step-deterministic silently keep the
+	// policy path.
 	Ledger LedgerMode
-}
-
-// Local engine names for Local.Engine.
-const (
-	EngineChannel = "channel"
-	EngineSteal   = "steal"
-)
-
-type localRequest struct {
-	worker    int
-	acp       int
-	fbWork    float64 // cost of the previous chunk (0 = none)
-	fbElapsed float64 // its measured execution time
-	at        float64 // send instant on the telemetry clock (0 = no bus)
-	reply     chan localReply
-}
-
-type localReply struct {
-	assign sched.Assignment
-	ok     bool
 }
 
 // Run executes body(i) exactly once for every iteration i of the
@@ -131,130 +110,105 @@ func (l *Local) Run(w workload.Workload, body func(i int)) (metrics.Report, erro
 	return l.RunContext(context.Background(), w, body)
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled the
-// master stops handing out chunks, the workers drain, and the call
-// returns ctx's error. Iterations already started still complete
-// (the body is never interrupted mid-iteration).
+// localRun is one RunContext call: the JobState the workers share plus
+// what a one-shot run adds on top — the context, the body, the ACP
+// probes and per-worker timing for the report.
+type localRun struct {
+	*Local
+	ctx      context.Context
+	w        workload.Workload
+	body     func(i int)
+	js       *JobState
+	maxScale int
+	initACP  []int              // gathered first reports (distributed schemes)
+	first    []sched.Assignment // first grants, served from initACP
+	start    time.Time
+	times    []metrics.Times
+	wg       sync.WaitGroup
+}
+
+// RunContext is Run with cancellation: when ctx is cancelled no
+// worker takes another chunk, the workers drain, and the call returns
+// ctx's error. Iterations already started still complete (the body
+// is never interrupted mid-iteration).
 func (l *Local) RunContext(ctx context.Context, w workload.Workload, body func(i int)) (metrics.Report, error) {
 	p := len(l.Workers)
 	if p == 0 {
 		return metrics.Report{}, fmt.Errorf("exec: no workers")
 	}
-	switch l.Engine {
-	case "", EngineChannel:
-	case EngineSteal:
-		return l.runSteal(ctx, w, body)
-	default:
-		return metrics.Report{}, fmt.Errorf("exec: unknown local engine %q (want %q or %q)", l.Engine, EngineChannel, EngineSteal)
-	}
-	dist := sched.Distributed(l.Scheme)
-
-	maxScale := 1
+	rep := metrics.Report{Scheme: l.Scheme.Name(), Workload: w.Name(), Workers: p}
+	r := &localRun{Local: l, ctx: ctx, w: w, body: body, maxScale: 1}
 	for _, ws := range l.Workers {
-		if ws.scale() > maxScale {
-			maxScale = ws.scale()
+		r.maxScale = max(r.maxScale, ws.scale())
+	}
+
+	// Distributed schemes plan from every worker's first ACP report
+	// (paper master step 1(a)). With no master goroutine the reports
+	// are taken here, before any worker starts.
+	dist := sched.Distributed(l.Scheme)
+	if dist {
+		r.initACP = make([]int, p)
+		for i := range r.initACP {
+			r.initACP[i] = r.acp(i)
 		}
 	}
-	virtual := func(i int) float64 {
-		return float64(maxScale) / float64(l.Workers[i].scale())
-	}
-
-	requests := make(chan localRequest)
-	var wg sync.WaitGroup
-	times := make([]metrics.Times, p)
-	iters := make([]int64, p)
-	waitHist := hist.NewSharded(p)
-	compHist := hist.NewSharded(p)
-
-	start := time.Now()
-	if l.Trace != nil {
-		l.Trace.Scheme = l.Scheme.Name()
-		l.Trace.Workload = w.Name()
-		l.Trace.Workers = p
-	}
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			spec := l.Workers[id]
-			reply := make(chan localReply, 1)
-			l.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.WorkerJoined, Worker: id,
-				At: l.Telemetry.Now(),
-			})
-			var fbWork, fbElapsed float64
-			for {
-				a := l.ACP.ACP(virtual(id), 1+spec.Load())
-				reqAt := l.Telemetry.Now()
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.ChunkRequested, Worker: id,
-					ACP: a, At: reqAt,
-				})
-				waitStart := time.Now()
-				select {
-				case requests <- localRequest{worker: id, acp: a,
-					fbWork: fbWork, fbElapsed: fbElapsed, at: reqAt, reply: reply}:
-				case <-ctx.Done():
-					return
-				}
-				r := <-reply // an accepted request is always answered
-				wait := time.Since(waitStart).Seconds()
-				times[id].Wait += wait
-				if !r.ok {
-					return
-				}
-				waitHist.Record(id, wait)
-				compStart := time.Now()
-				for it := r.assign.Start; it < r.assign.End(); it++ {
-					for rep := 0; rep < spec.scale(); rep++ {
-						body(it)
-					}
-				}
-				fbWork = workload.RangeCost(w, r.assign.Start, r.assign.End())
-				// One reading serves the feedback loop, the Comp metric
-				// and the trace span: separate time.Since calls drift
-				// apart by the work between them, so Feedback would see
-				// an elapsed time that never equals the reported Comp.
-				fbElapsed = time.Since(compStart).Seconds()
-				times[id].Comp += fbElapsed
-				compHist.Record(id, fbElapsed)
-				atomic.AddInt64(&iters[id], int64(r.assign.Size))
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.ChunkCompleted, Worker: id,
-					Start: r.assign.Start, Size: r.assign.Size, ACP: a,
-					Span: telemetry.SpanID(0, r.assign.Start),
-					At:   l.Telemetry.Now(), Seconds: fbElapsed,
-				})
-				if l.Trace != nil {
-					begin := compStart.Sub(start).Seconds()
-					l.Trace.Add(trace.Event{
-						Worker: id,
-						Start:  r.assign.Start,
-						Size:   r.assign.Size,
-						Begin:  begin,
-						End:    begin + fbElapsed,
-						ACP:    a,
-					})
-				}
-			}
-		}(i)
-	}
-
-	rep, err := l.master(ctx, w, p, dist, requests)
-	wg.Wait()
-	close(requests) // lets a failed master's drain goroutine exit
-	rep.Tp = time.Since(start).Seconds()
-	rep.GrantLatency = waitHist.Snapshot().Summarize()
-	rep.CompLatency = compHist.Snapshot().Summarize()
-	rep.Scheme = l.Scheme.Name()
-	rep.Workload = w.Name()
-	rep.Workers = p
-	for i := 0; i < p; i++ {
-		rep.PerWorker = append(rep.PerWorker, times[i])
-		rep.Iterations += int(iters[i])
-	}
+	var err error
+	r.js, err = NewJobState(JobConfig{
+		Scheme:        l.Scheme,
+		Workload:      w,
+		Workers:       p,
+		Window:        l.Window,
+		InitACP:       r.initACP,
+		DisableReplan: l.DisableReplan,
+		Telemetry:     l.Telemetry,
+		Ledger:        l.Ledger,
+	})
 	if err != nil {
 		return rep, err
+	}
+
+	r.start = time.Now()
+	if l.Trace != nil {
+		l.Trace.Scheme = rep.Scheme
+		l.Trace.Workload = rep.Workload
+		l.Trace.Workers = p
+	}
+	r.times = make([]metrics.Times, p)
+	for i := 0; i < p; i++ {
+		l.Telemetry.Publish(telemetry.Event{
+			Kind: telemetry.WorkerJoined, Worker: i,
+			At: l.Telemetry.Now(),
+		})
+	}
+	// The gathered first requests are served in worker order, each
+	// grant handed to its requester directly: a chunk the plan sized
+	// for one worker's ACP is never parked where another can steal it.
+	if dist {
+		r.first = make([]sched.Assignment, p)
+		for i := range r.first {
+			waitStart := time.Now()
+			r.first[i], _, _ = r.js.Refill(i, r.initACP[i], 0, 0)
+			r.times[i].Wait += time.Since(waitStart).Seconds()
+		}
+	}
+	r.wg.Add(p)
+	for i := 0; i < p; i++ {
+		go r.worker(i)
+	}
+	r.wg.Wait()
+
+	counts := r.js.Counts()
+	rep.Tp = time.Since(r.start).Seconds()
+	wait, comp := r.js.Latency()
+	rep.GrantLatency = wait.Summarize()
+	rep.CompLatency = comp.Summarize()
+	rep.Chunks = counts.Chunks
+	rep.Replans = counts.Replans
+	rep.Steals = int(counts.Steals)
+	rep.PerWorker = r.times
+	rep.Iterations = int(counts.Completed)
+	if ctx.Err() != nil {
+		return rep, ctx.Err()
 	}
 	if rep.Iterations != w.Len() {
 		return rep, fmt.Errorf("exec: executed %d of %d iterations", rep.Iterations, w.Len())
@@ -262,114 +216,82 @@ func (l *Local) RunContext(ctx context.Context, w workload.Workload, body func(i
 	return rep, nil
 }
 
-// master services requests until the loop is exhausted and every
-// worker has been told to stop, or the context is cancelled.
-func (l *Local) master(ctx context.Context, w workload.Workload, p int, dist bool, requests chan localRequest) (metrics.Report, error) {
-	var rep metrics.Report
-	liveACP := make([]int, p)
-	planACP := make([]int, p)
-	base := 0
+// acp probes worker id's current ACP: its virtual power relative to
+// the slowest worker, under its emulated external load.
+func (r *localRun) acp(id int) int {
+	ws := r.Workers[id]
+	return r.ACP.ACP(float64(r.maxScale)/float64(ws.scale()), 1+ws.Load())
+}
 
-	plan := func() (sched.Policy, error) {
-		cfg := sched.Config{Iterations: w.Len() - base, Workers: p}
-		if dist {
-			powers := make([]float64, p)
-			for i, a := range liveACP {
-				if a < 1 {
-					a = 1
-				}
-				powers[i] = float64(a)
-			}
-			cfg.Powers = powers
-		}
-		pol, err := l.Scheme.NewPolicy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		copy(planACP, liveACP)
-		return sched.Offset(pol, base), nil
+// worker is one worker's acquire–execute loop — its gathered first
+// grant if it has one, then own pop, steal, refill — spinning (with
+// Gosched) only in the terminal window where the policy is dry but
+// granted chunks still sit in deques.
+func (r *localRun) worker(id int) {
+	defer r.wg.Done()
+	js, times := r.js, &r.times[id]
+	spec := r.Workers[id]
+	var a sched.Assignment
+	var acpNow int
+	if r.first != nil {
+		a, acpNow = r.first[id], r.initACP[id]
+	} else {
+		acpNow = r.acp(id)
 	}
-
-	var policy sched.Policy
-	var pending []localRequest
-
-	// Distributed masters gather every worker's first report before
-	// planning (paper master step 1(a)).
-	if dist {
-		seen := make([]bool, p)
-		n := 0
-		for n < p {
-			select {
-			case req := <-requests:
-				liveACP[req.worker] = req.acp
-				if !seen[req.worker] {
-					seen[req.worker] = true
-					n++
-				}
-				pending = append(pending, req)
-			case <-ctx.Done():
-				for _, req := range pending {
-					req.reply <- localReply{}
-				}
-				return rep, ctx.Err()
-			}
-		}
-	}
-	var err error
-	policy, err = plan()
-	if err != nil {
-		// Drain workers so they exit.
-		go func() {
-			for req := range requests {
-				req.reply <- localReply{}
-			}
-		}()
-		return rep, err
-	}
-
-	stopped := 0
-	serve := func(req localRequest) {
-		liveACP[req.worker] = req.acp
-		if fb, ok := policy.(sched.FeedbackPolicy); ok && req.fbElapsed > 0 {
-			fb.Feedback(req.worker, req.fbWork, req.fbElapsed)
-		}
-		if dist && !l.DisableReplan && acp.MajorityChanged(planACP, liveACP) {
-			if p2, err2 := plan(); err2 == nil {
-				policy = p2
-				rep.Replans++
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.StageAdvanced, Worker: req.worker,
-					At: l.Telemetry.Now(),
-				})
-			}
-		}
-		a, ok := policy.Next(sched.Request{Worker: req.worker, ACP: float64(req.acp)})
-		if !ok {
-			stopped++
-			req.reply <- localReply{}
+	held := a.Size > 0
+	var fbWork, fbElapsed float64
+	for {
+		if r.ctx.Err() != nil {
 			return
 		}
-		base = a.End()
-		rep.Chunks++
-		now := l.Telemetry.Now()
-		l.Telemetry.Publish(telemetry.Event{
-			Kind: telemetry.ChunkGranted, Worker: req.worker,
-			Start: a.Start, Size: a.Size, ACP: req.acp,
-			Span: telemetry.SpanID(0, a.Start),
-			At:   now, Seconds: now - req.at,
-		})
-		req.reply <- localReply{assign: a, ok: true}
-	}
-	for _, req := range pending {
-		serve(req)
-	}
-	for stopped < p {
-		select {
-		case req := <-requests:
-			serve(req)
-		case <-ctx.Done():
-			return rep, ctx.Err()
+		if !held {
+			waitStart := time.Now()
+			a, held = js.Pop(id)
+			if !held {
+				a, held = js.Steal(id)
+			}
+			if !held {
+				acpNow = r.acp(id)
+				a, _, held = js.Refill(id, acpNow, fbWork, fbElapsed)
+				fbWork, fbElapsed = 0, 0
+			}
+			if !held {
+				if js.Finished() {
+					return
+				}
+				// Granted work is still in flight in other deques (or
+				// the policy will yield more once someone reports):
+				// yield and rescan rather than block.
+				runtime.Gosched()
+				continue
+			}
+			times.Wait += time.Since(waitStart).Seconds()
+		}
+		held = false
+		compStart := time.Now()
+		for it := a.Start; it < a.End(); it++ {
+			for rep := 0; rep < spec.scale(); rep++ {
+				r.body(it)
+			}
+		}
+		fbWork = workload.RangeCost(r.w, a.Start, a.End())
+		// One reading serves the feedback loop, the Comp metric and
+		// the trace span: separate time.Since calls drift apart by the
+		// work between them, so Feedback would see an elapsed time
+		// that never equals the reported Comp.
+		fbElapsed = time.Since(compStart).Seconds()
+		times.Comp += fbElapsed
+		js.Complete(id, a, acpNow, fbElapsed)
+		if r.Trace != nil {
+			begin := compStart.Sub(r.start).Seconds()
+			r.Trace.Add(trace.Event{
+				Worker: id,
+				Start:  a.Start,
+				Size:   a.Size,
+				Begin:  begin,
+				End:    begin + fbElapsed,
+				ACP:    acpNow,
+			})
 		}
 	}
-	return rep, nil
 }

@@ -149,8 +149,9 @@ func TestLocalLoadAdjustment(t *testing.T) {
 	l := &Local{Scheme: sched.DTSSScheme{}, Workers: ws}
 	var fired atomic.Bool
 	_, err := l.Run(workload.Uniform{N: n}, func(i int) {
-		if i > n/10 && !fired.Load() {
-			fired.Store(true)
+		// CompareAndSwap, not Load then Store: two workers past n/10
+		// at once would both add the load.
+		if i > n/10 && fired.CompareAndSwap(false, true) {
 			ws[0].AddLoad(3)
 			ws[1].AddLoad(3)
 			ws[2].AddLoad(3)

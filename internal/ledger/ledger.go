@@ -17,7 +17,7 @@
 //     replayed once through its Policy into a prefix-starts slice.
 //   - Ledger is the step counter. Local is the in-process
 //     implementation (one cache-line-padded atomic.Uint64, used by the
-//     steal engine and as the master-side source of truth); the wire
+//     local engine and as the master-side source of truth); the wire
 //     protocol's FetchAdd/Step frames (internal/wire) carry the same
 //     operation to remote workers, which hold a replica of the Table
 //     and self-compute their boundaries.

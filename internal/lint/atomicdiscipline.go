@@ -13,9 +13,9 @@ import (
 // write is still a data race. The deque and job-state code moved to
 // atomic.Int64 method types (which make mixed access unrepresentable),
 // but the runtime still has function-style sites — per-worker
-// iteration tallies in the local engines — and the distributed
-// chunk-calculation direction in ROADMAP will add more one-sided
-// atomic state, so the discipline needs machine checking.
+// iteration tallies in the hierarchical local runtime — and the
+// distributed chunk-calculation direction in ROADMAP will add more
+// one-sided atomic state, so the discipline needs machine checking.
 //
 // Publication-pattern allowance: a plain access is accepted when the
 // surrounding function provides ordering that makes it race-free —
@@ -23,8 +23,8 @@ import (
 // (initialisation before spawn), or join evidence (a sync.WaitGroup
 // Wait or a channel receive) appears earlier in the same function
 // (read after join). That is exactly the `iters` pattern in
-// exec.Local.RunContext: atomic adds inside the workers, one plain
-// read per worker after wg.Wait. Anything subtler — deliberate torn
+// hier.LocalRun.Run: atomic adds inside the workers, one plain read
+// per worker after wg.Wait. Anything subtler — deliberate torn
 // reads validated by a CAS, cross-function publication — must carry a
 // //lint:loopsched-ignore atomicdiscipline directive with its
 // justification.
@@ -148,8 +148,8 @@ func isSyncAtomicFunc(info *types.Info, call *ast.CallExpr) bool {
 
 // atomicTargetObj resolves the object an atomic access targets,
 // unwrapping indexing and dereferencing down to the named field or
-// variable: &s.counters[i].Steals → the Steals field, &iters[id] → the
-// iters variable, p → the p variable.
+// variable: &s.lanes[i].counters.Steals → the Steals field, &iters[id]
+// → the iters variable, p → the p variable.
 func atomicTargetObj(info *types.Info, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {

@@ -326,7 +326,7 @@ func (h *hotAllocPass) paramObjects(fn *ast.FuncDecl) map[types.Object]bool {
 // rootedInParam reports whether the expression's base identifier is a
 // parameter/receiver (directly, through selectors/indices/slices, or
 // through a local whose first assignment was itself parameter-rooted —
-// the `batch := s.scratch[worker][:0]` idiom).
+// the `c := &s.lanes[worker].counters` idiom).
 func (h *hotAllocPass) rootedInParam(params map[types.Object]bool, e ast.Expr, depth int) bool {
 	if depth > 4 {
 		return false

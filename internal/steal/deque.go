@@ -20,20 +20,23 @@
 //     and the torn value is discarded. Atomic field access makes that
 //     benign race invisible to -race and well-defined under the Go
 //     memory model.
-//   - top and bottom sit on separate cache lines, as do the per-worker
-//     counters, so a thief hammering one worker's top does not false-
-//     share with the owner's bottom or with neighbouring workers.
+//   - The thief-written top sits alone on the deque's leading cache
+//     line; bottom and the ring header follow on the owner's line, and
+//     NewDeque pads that line out, so a thief hammering one worker's
+//     top never false-shares with the owner's bottom or with whatever
+//     is allocated next.
 package steal
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"loopsched/internal/sched"
 )
 
-// cacheLine is the padding granularity. 128 bytes covers the adjacent-
+// CacheLine is the padding granularity. 128 bytes covers the adjacent-
 // line prefetcher on current x86 parts as well as the 64-byte line.
-const cacheLine = 128
+const CacheLine = 128
 
 // slot holds one assignment with atomically accessed fields. The two
 // fields are not read as a unit: a torn (start, size) pair can only be
@@ -51,13 +54,19 @@ const MinCapacity = 8
 // usable; construct with NewDeque. Push and Pop may be called only by
 // the owning worker; Steal by any goroutine.
 type Deque struct {
-	_      [cacheLine]byte // keep neighbours off the bottom line
-	bottom atomic.Int64    // next index the owner writes
-	_      [cacheLine - 8]byte
 	top    atomic.Int64 // next index a thief reads
-	_      [cacheLine - 8]byte
+	_      [CacheLine - 8]byte
+	bottom atomic.Int64 // next index the owner writes
 	mask   int64
 	slots  []slot
+}
+
+// paddedDeque ends a Deque on a line boundary. At 256 bytes it is a
+// small object in the 256-byte size class, whose objects start on line
+// boundaries, so top and bottom each own a whole line.
+type paddedDeque struct {
+	Deque
+	_ [CacheLine - unsafe.Sizeof(Deque{})%CacheLine]byte
 }
 
 // NewDeque builds a deque holding at least capacity assignments
@@ -67,7 +76,10 @@ func NewDeque(capacity int) *Deque {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Deque{mask: int64(n - 1), slots: make([]slot, n)}
+	d := new(paddedDeque)
+	d.mask = int64(n - 1)
+	d.slots = make([]slot, n)
+	return &d.Deque
 }
 
 // Cap returns the ring capacity.
@@ -93,16 +105,35 @@ func (d *Deque) Len() int {
 //
 //lint:loopsched-hotpath
 func (d *Deque) Push(a sched.Assignment) bool {
-	b := d.bottom.Load()
-	t := d.top.Load()
-	if b-t >= int64(len(d.slots)) {
+	if d.bottom.Load()-d.top.Load() >= int64(len(d.slots)) {
 		return false
 	}
-	s := &d.slots[b&d.mask]
+	d.Stage(0, a)
+	d.Publish(1)
+	return true
+}
+
+// Stage writes a into the i-th slot past bottom without making it
+// visible: Pop and Steal see staged slots only once Publish moves
+// bottom over them. An owner can so fill its deque while it holds
+// another lock and hand the chunks to thieves after releasing it.
+// Owner-only; the caller keeps i below Cap() - Len(). A thief still
+// reading a recycled slot fails its CAS on top, exactly as after a
+// Push (see the package doc).
+//
+//lint:loopsched-hotpath
+func (d *Deque) Stage(i int, a sched.Assignment) {
+	s := &d.slots[(d.bottom.Load()+int64(i))&d.mask]
 	s.start.Store(int64(a.Start))
 	s.size.Store(int64(a.Size))
-	d.bottom.Store(b + 1)
-	return true
+}
+
+// Publish makes the first n staged slots visible to Pop and Steal
+// with one store. Owner-only.
+//
+//lint:loopsched-hotpath
+func (d *Deque) Publish(n int) {
+	d.bottom.Store(d.bottom.Load() + int64(n))
 }
 
 // Pop removes the most recently pushed assignment (LIFO). It reports
@@ -179,15 +210,15 @@ type Counters struct {
 // access is atomic — the atomic.Int64 method types make a plain mixed
 // access unrepresentable, which is the discipline the
 // atomicdiscipline analyzer enforces for function-style sites. The
-// struct is padded so adjacent workers' counters never share a cache
-// line.
+// struct is unpadded: its embedder places it among other words the
+// same worker writes (exec pads one per worker alongside its latency
+// histograms).
 type AtomicCounters struct {
 	Pops         atomic.Int64
 	Steals       atomic.Int64
 	FailedSteals atomic.Int64
 	Refills      atomic.Int64
 	RefillChunks atomic.Int64
-	_            [cacheLine - 5*8]byte
 }
 
 // Snapshot reads the tally atomically field by field. The result is

@@ -69,6 +69,30 @@ func TestDequePushFull(t *testing.T) {
 	}
 }
 
+// TestDequeStagePublish: staged slots stay invisible to Pop, Steal and
+// Len until Publish, which releases them in stage order.
+func TestDequeStagePublish(t *testing.T) {
+	d := NewDeque(8)
+	d.Stage(0, sched.Assignment{Start: 0, Size: 10})
+	d.Stage(1, sched.Assignment{Start: 10, Size: 10})
+	if n := d.Len(); n != 0 {
+		t.Fatalf("Len = %d before Publish, want 0", n)
+	}
+	if a, ok := d.Steal(); ok {
+		t.Fatalf("Steal saw staged %+v before Publish", a)
+	}
+	if a, ok := d.Pop(); ok {
+		t.Fatalf("Pop saw staged %+v before Publish", a)
+	}
+	d.Publish(2)
+	if a, ok := d.Steal(); !ok || a.Start != 0 {
+		t.Fatalf("Steal = %+v, %v; want Start 0", a, ok)
+	}
+	if a, ok := d.Pop(); !ok || a.Start != 10 {
+		t.Fatalf("Pop = %+v, %v; want Start 10", a, ok)
+	}
+}
+
 // TestDequeStress hammers one owner (push/pop) against many thieves
 // under -race: every pushed assignment must be consumed exactly once,
 // with no torn (start, size) pairs observed.

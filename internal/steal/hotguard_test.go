@@ -14,11 +14,13 @@ import (
 // that test until a guard lands here. Entries may share a guard when
 // one steady-state cycle exercises several hot functions.
 var hotGuards = map[string]func(t *testing.T){
-	"(*Deque).Push":  dequeOwnerGuard,
-	"(*Deque).Pop":   dequeOwnerGuard,
-	"(*Deque).Steal": dequeStealGuard,
-	"(*Deque).Len":   dequeReadGuard,
-	"(*Deque).Cap":   dequeReadGuard,
+	"(*Deque).Push":    dequeOwnerGuard,
+	"(*Deque).Pop":     dequeOwnerGuard,
+	"(*Deque).Stage":   dequeOwnerGuard,
+	"(*Deque).Publish": dequeOwnerGuard,
+	"(*Deque).Steal":   dequeStealGuard,
+	"(*Deque).Len":     dequeReadGuard,
+	"(*Deque).Cap":     dequeReadGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -51,16 +53,21 @@ func TestHotPathAllocGuards(t *testing.T) {
 	}
 }
 
-// dequeOwnerGuard pins the owner fast path — push then pop — at zero
-// steady-state allocations.
+// dequeOwnerGuard pins the owner fast paths — push then pop, stage
+// then publish — at zero steady-state allocations.
 func dequeOwnerGuard(t *testing.T) {
 	d := NewDeque(64)
 	a := sched.Assignment{Start: 1, Size: 2}
 	if n := testing.AllocsPerRun(1000, func() {
 		d.Push(a)
 		d.Pop()
+		d.Stage(0, a)
+		d.Stage(1, a)
+		d.Publish(2)
+		d.Pop()
+		d.Pop()
 	}); n != 0 {
-		t.Fatalf("owner push+pop allocates %.1f/op, want 0", n)
+		t.Fatalf("owner push+pop and stage+publish allocate %.1f/op, want 0", n)
 	}
 }
 

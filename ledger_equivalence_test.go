@@ -134,7 +134,7 @@ func TestLedgerTransportEquivalence(t *testing.T) {
 		{"local-steal", func(s loopsched.Scheme, ledger string) loopsched.RunSpec {
 			return loopsched.RunSpec{
 				Scheme: s, Workload: w,
-				Backend: loopsched.BackendLocal, LocalEngine: loopsched.EngineSteal,
+				Backend: loopsched.BackendLocal,
 				Workers: runWorkers(), Body: func(i int) {},
 				Ledger: ledger,
 			}
@@ -201,7 +201,7 @@ func TestLedgerIneligibleSchemeFallsBack(t *testing.T) {
 	}{
 		{"local-steal", loopsched.RunSpec{
 			Scheme: scheme, Workload: loopsched.Uniform{N: 1200, C: 1},
-			Backend: loopsched.BackendLocal, LocalEngine: loopsched.EngineSteal,
+			Backend: loopsched.BackendLocal,
 			Workers: runWorkers(), Body: func(i int) {}, Ledger: "on",
 		}},
 		{"rpc", loopsched.RunSpec{

@@ -380,10 +380,10 @@ func NewTelemetry(o TelemetryOptions) (*Telemetry, error) { return telemetry.New
 // ---- Real executors ----
 
 type (
-	// LocalExecutor runs a loop with goroutine workers and a channel
-	// master (or, with Engine: EngineSteal, per-worker work-stealing
-	// deques). Its Run method is a legacy adapter; prefer
-	// Run(ctx, RunSpec{Backend: BackendLocal, …}).
+	// LocalExecutor runs a loop with goroutine workers over one
+	// shared job state: per-worker work-stealing deques refilled from
+	// the scheme's policy (docs/LOCAL.md). Its Run method is a legacy
+	// adapter; prefer Run(ctx, RunSpec{Backend: BackendLocal, …}).
 	LocalExecutor = exec.Local
 	// WorkerSpec emulates one heterogeneous worker in-process.
 	WorkerSpec = exec.WorkerSpec
@@ -396,16 +396,6 @@ type (
 	// ChunkArgs/ChunkResult are the RPC request and result types.
 	ChunkArgs   = exec.ChunkArgs
 	ChunkResult = exec.ChunkResult
-)
-
-// Local engine names for RunSpec.LocalEngine / LocalExecutor.Engine.
-const (
-	// EngineChannel drives one master goroutine over an unbuffered
-	// channel — the paper's request/grant protocol verbatim.
-	EngineChannel = exec.EngineChannel
-	// EngineSteal runs a bounded Chase–Lev deque per worker with
-	// batched policy refills; see docs/LOCAL.md.
-	EngineSteal = exec.EngineSteal
 )
 
 // NewMaster builds an RPC master scheduling `iterations` across

@@ -30,7 +30,8 @@ type Backend string
 const (
 	// BackendSim runs the deterministic discrete-event simulator.
 	BackendSim Backend = "sim"
-	// BackendLocal runs goroutine workers driven by a channel master.
+	// BackendLocal runs goroutine workers that grant themselves chunks
+	// from one shared job state (docs/LOCAL.md).
 	BackendLocal Backend = "local"
 	// BackendRPC self-hosts the TCP master and workers on loopback —
 	// the full wire protocol without external processes.
@@ -101,28 +102,23 @@ type RunSpec struct {
 	// many chunks a worker may hold beyond the one it is computing (0
 	// means 1, the classic double buffer). Larger windows amortise
 	// master round trips over several chunks at the cost of coarser
-	// tail balancing.
+	// tail balancing. On the local backend it is the refill window:
+	// how many chunks one refill pulls from the policy. 0 derives it
+	// from the scheme — 8 for step-deterministic schemes, 1 for
+	// adaptive ones, whose chunks are sized for the worker that asked
+	// (docs/LOCAL.md).
 	CreditWindow int
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and
 	// compute chunk boundaries from a replicated table (rpc backend),
-	// turns steal-engine refills into lock-free claims (local backend,
-	// steal engine), and gives each rpc
-	// submaster a stage-local ledger (hierarchies). Empty consults the
-	// LOOPSCHED_LEDGER environment variable and falls back to "off".
+	// turns local refills into lock-free claims (local backend), and
+	// gives each rpc submaster a stage-local ledger (hierarchies).
+	// Empty consults the LOOPSCHED_LEDGER environment variable and
+	// falls back to "off".
 	// The mode is advisory: schemes that are not step-deterministic
 	// (adaptive and feedback schemes) silently keep the master path,
 	// so "on" is always safe. See docs/LEDGER.md.
 	Ledger string
-	// LocalEngine selects the in-process runtime on BackendLocal:
-	// "channel" (the default, also chosen by "") drives one master
-	// goroutine over an unbuffered channel exactly as the paper's
-	// protocol reads; "steal" runs per-worker work-stealing deques
-	// with batched policy refills (internal/steal, docs/LOCAL.md).
-	// CreditWindow sets the steal engine's refill batch size. Flat
-	// runs only — the hierarchical local runtime has its own
-	// submaster structure.
-	LocalEngine string
 	// DisableReplan turns off the majority re-plan (ablation). The
 	// hierarchical rpc root always runs with re-planning disabled.
 	DisableReplan bool
@@ -173,7 +169,7 @@ func NewExecutor(b Backend) (Executor, error) {
 // Run is the single-job form of the scheduler service: it shares one
 // spec-validation path (RunSpec.validate) and one telemetry path
 // (beginTelemetry → the event bus) with Scheduler.Submit, and its
-// local steal engine runs over the same fleet-shareable per-job state
+// local engine runs over the same fleet-shareable per-job state
 // (internal/exec.JobState) the multi-tenant Scheduler multiplexes. Use
 // NewScheduler when a stream of jobs should share one worker fleet.
 func Run(ctx context.Context, spec RunSpec) (Report, error) {
@@ -260,9 +256,6 @@ func (s RunSpec) validate() error {
 		if len(s.Workers) == 0 {
 			return fmt.Errorf("loopsched: local backend needs Workers")
 		}
-		if s.Hierarchy != nil && s.LocalEngine != "" && s.LocalEngine != EngineChannel {
-			return fmt.Errorf("loopsched: LocalEngine %q is flat-only; hierarchical local runs use the submaster runtime", s.LocalEngine)
-		}
 	case BackendRPC:
 		if len(s.Workers) == 0 {
 			return fmt.Errorf("loopsched: rpc backend needs Workers")
@@ -289,8 +282,10 @@ func (s RunSpec) body() (func(i int), error) {
 	if s.Body != nil {
 		return s.Body, nil
 	}
-	if s.Kernel != nil {
-		return func(i int) { s.Kernel(i) }, nil
+	// Capture the function, not s: a closure over s would move the
+	// whole RunSpec to the heap on every call, taken branch or not.
+	if k := s.Kernel; k != nil {
+		return func(i int) { k(i) }, nil
 	}
 	return nil, fmt.Errorf("loopsched: RunSpec needs Body or Kernel on backend %q", s.Backend)
 }
@@ -301,8 +296,8 @@ func (s RunSpec) kernel() (Kernel, error) {
 	if s.Kernel != nil {
 		return s.Kernel, nil
 	}
-	if s.Body != nil {
-		return func(i int) []byte { s.Body(i); return nil }, nil
+	if b := s.Body; b != nil {
+		return func(i int) []byte { b(i); return nil }, nil
 	}
 	return nil, fmt.Errorf("loopsched: RunSpec needs Kernel or Body on backend %q", s.Backend)
 }
@@ -377,7 +372,6 @@ func (localExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 		DisableReplan: spec.DisableReplan,
 		Trace:         spec.Trace,
 		Telemetry:     spec.Telemetry.Bus(),
-		Engine:        spec.LocalEngine,
 		Window:        spec.CreditWindow,
 		Ledger:        exec.LedgerMode(spec.Ledger),
 	}

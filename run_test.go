@@ -288,15 +288,6 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 			wantErr: "loopsched: local backend needs Workers",
 		},
 		{
-			name: "local hierarchical steal engine",
-			spec: loopsched.RunSpec{
-				Scheme: scheme, Workload: w, Backend: loopsched.BackendLocal,
-				Workers: runWorkers(), Body: noop,
-				LocalEngine: loopsched.EngineSteal, Hierarchy: &loopsched.Hierarchy{},
-			},
-			wantErr: `loopsched: LocalEngine "steal" is flat-only; hierarchical local runs use the submaster runtime`,
-		},
-		{
 			name:    "rpc without workers",
 			spec:    loopsched.RunSpec{Scheme: scheme, Workload: w, Backend: loopsched.BackendRPC, Body: noop},
 			wantErr: "loopsched: rpc backend needs Workers",

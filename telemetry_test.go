@@ -272,18 +272,20 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 		name string
 		run  func(t *testing.T, tele *loopsched.Telemetry) result
 	}{
-		{"local-channel", func(t *testing.T, tele *loopsched.Telemetry) result {
+		// One chunk per refill: the paper's one request → one grant,
+		// with nothing parked in a deque to steal.
+		{"local-window1", func(t *testing.T, tele *loopsched.Telemetry) result {
 			rep := runForTelemetry(t, loopsched.RunSpec{
 				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
 				Backend: loopsched.BackendLocal, Workers: runWorkers(),
-				Body: func(i int) {}, Telemetry: tele,
+				Body: func(i int) {}, CreditWindow: 1, Telemetry: tele,
 			})
 			return result{rep.Chunks, rep, true, false}
 		}},
 		{"local-steal", func(t *testing.T, tele *loopsched.Telemetry) result {
 			rep := runForTelemetry(t, loopsched.RunSpec{
 				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
-				Backend: loopsched.BackendLocal, LocalEngine: loopsched.EngineSteal,
+				Backend: loopsched.BackendLocal,
 				Workers: runWorkers(), Body: func(i int) {}, Telemetry: tele,
 			})
 			return result{rep.Chunks, rep, true, false}
@@ -303,7 +305,7 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 		{"local-steal-ledger", func(t *testing.T, tele *loopsched.Telemetry) result {
 			rep := runForTelemetry(t, loopsched.RunSpec{
 				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
-				Backend: loopsched.BackendLocal, LocalEngine: loopsched.EngineSteal,
+				Backend: loopsched.BackendLocal,
 				Workers: runWorkers(), Body: func(i int) {}, Ledger: "on",
 				Telemetry: tele,
 			})
